@@ -10,18 +10,7 @@ Carlo integrator provide two independent checks on every number produced.
 
 from .numtheory import binomial, generalized_harmonic, harmonic, lcm_upto
 from .polys import Poly, integrate_poly_01, legendre_coeffs
-from .ratfunc import (
-    PartialFractionForm,
-    PFTerm,
-    RationalFunction,
-    UnsupportedPoleError,
-    partial_fractions,
-    rf_add,
-    rf_derivative,
-    rf_mul,
-    rf_normalize,
-    rf_pow,
-)
+from .ratfunc import RationalFunction, rf_normalize
 from .moments import (
     SummandSpec,
     build_summand,
@@ -65,15 +54,7 @@ __all__ = [
     "integrate_poly_01",
     "legendre_coeffs",
     "RationalFunction",
-    "PartialFractionForm",
-    "PFTerm",
-    "UnsupportedPoleError",
-    "partial_fractions",
-    "rf_add",
-    "rf_derivative",
-    "rf_mul",
     "rf_normalize",
-    "rf_pow",
     "SummandSpec",
     "build_summand",
     "envelope_constant",

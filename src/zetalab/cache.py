@@ -5,6 +5,12 @@ reloaded combination is exactly equal to a fresh computation (rationals
 round-trip losslessly).  Appends take an exclusive file lock; reads are
 lock-free (JSON lines are atomic enough at these sizes, and the last entry
 for a key wins).
+
+A write cut short (say by a crash mid-append) leaves a torn line.  Readers
+skip a line that does not parse, with a warning on stderr, so the entry is
+simply recomputed; an append first ends a torn last line, so the new entry
+starts on a line of its own.  The repaired torn line then sits mid-file,
+which is why the skip applies to any line, not only the last.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import fcntl
 import json
 import os
+import sys
 from pathlib import Path
 
 from .decomp import ZetaCombination
@@ -40,11 +47,18 @@ class DecompositionCache:
         if self._entries is None:
             self._entries = {}
             if self.path.exists():
-                for line in self.path.read_text().splitlines():
+                for i, line in enumerate(self.path.read_text().splitlines(), 1):
                     line = line.strip()
                     if not line:
                         continue
-                    rec = json.loads(line)
+                    try:
+                        rec = json.loads(line)
+                    except json.JSONDecodeError:
+                        print(
+                            f"warning: skipping unparsable cache line {i} of {self.path}",
+                            file=sys.stderr,
+                        )
+                        continue
                     key = json.dumps(rec["key"], sort_keys=True)
                     self._entries[key] = ZetaCombination.from_json_dict(rec["combo"])
         return self._entries
@@ -59,10 +73,15 @@ class DecompositionCache:
         }
         line = json.dumps(rec, sort_keys=True) + "\n"
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        with open(self.path, "a") as fh:
+        with open(self.path, "ab+") as fh:
             fcntl.flock(fh, fcntl.LOCK_EX)
             try:
-                fh.write(line)
+                size = fh.seek(0, os.SEEK_END)
+                if size:
+                    fh.seek(size - 1)
+                    if fh.read(1) != b"\n":
+                        line = "\n" + line
+                fh.write(line.encode())
                 fh.flush()
             finally:
                 fcntl.flock(fh, fcntl.LOCK_UN)

@@ -237,7 +237,13 @@ def _add_rv(p, required=True):
 
 def _add_poly_selection(p):
     p.add_argument("--n", type=int, help="degree of the built-in family member")
-    p.add_argument("--coeffs", help="comma-separated integer coefficients, lowest degree first")
+    p.add_argument(
+        "--coeffs",
+        help=(
+            "comma-separated integer coefficients, lowest degree first; "
+            "write --coeffs=-3,2 when the first one is negative"
+        ),
+    )
 
 
 def _add_format(p, default):

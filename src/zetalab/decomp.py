@@ -1,7 +1,11 @@
 """Collapse the summed series into exact zeta-value combinations.
 
-``decompose`` turns sum_{k>=0} G(k) into  sum_j q_j * zeta(j) + q_0  with
-exact rational q's, via partial fractions of G:
+``decompose`` turns sum_{k>=0} G(k), G = d^v/ds^v [M(s)**r], into
+sum_j q_j * zeta(j) + q_0  with exact rational q's, via the partial
+fractions of G.  They come straight from the moment: M(s) = sum_l
+a_l/(s+l+1) is already a sum of simple poles, so the principal part of G
+at each pole s = -m follows from the local Laurent expansion of M there
+(no expanded summand, no pole search, no Taylor shift).  Then:
 
 * a term b/(s+m)**j with j >= 2 sums to b * (zeta(j) - sum_{t<m} t**-j);
 * the order-1 coefficients satisfy sum_m b_m = 0 (the summand decays at
@@ -25,10 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .moments import build_summand
+from .moments import check_series_args
 from .numtheory import generalized_harmonic, harmonic, lcm_upto
 from .polys import Poly, legendre_coeffs
-from .ratfunc import partial_fractions
 from .serialize import format_fraction, parse_fraction
 
 __all__ = [
@@ -99,11 +102,42 @@ class ZetaCombination:
         return cls.make(zeta, parse_fraction(data["constant"]))
 
 
+def _principal_parts(poly: Poly, r: int, v: int) -> dict[tuple[int, int], Fraction]:
+    """Nonzero partial-fraction coefficients {(m, j): c} of G = d^v/ds^v [M**r].
+
+    G = sum c / (s+m)**j exactly (G is proper).  Near the pole s = -m of
+    M = sum_l a_l/(s+l+1), with t = s + m, t*M = u(t) = a_{m-1} +
+    sum_{i>=0} b_i t**(i+1) where b_i = sum_{l != m-1} a_l (-1)**i /
+    (l+1-m)**(i+1).  The principal part of M**r there is u**r mod t**r,
+    and v derivatives map c/t**j to c (-1)**v (j)_v / t**(j+v).
+    """
+    support = [(l + 1, a) for l, a in enumerate(poly.coeffs) if a != 0]
+    sign = -1 if v % 2 else 1
+    parts: dict[tuple[int, int], Fraction] = {}
+    for m, a_m in support:
+        u = [a_m] + [Fraction(0)] * (r - 1)
+        for p, a in support:
+            if p != m:
+                inv = Fraction(1, p - m)
+                b = a * inv
+                for i in range(1, r):
+                    u[i] += b
+                    b *= -inv
+        ur = [Fraction(1)] + [Fraction(0)] * (r - 1)
+        for _ in range(r):
+            ur = [sum(ur[i] * u[k - i] for i in range(k + 1)) for k in range(r)]
+        for k, c in enumerate(ur):
+            if c:
+                j = r - k
+                parts[(m, j + v)] = sign * math.prod(range(j, j + v)) * c
+    return parts
+
+
 def decompose(poly: Poly, r: int, v: int) -> ZetaCombination:
     """Exact zeta-combination equal to (-1)**v * sum_{k>=0} G(k)."""
-    spec = build_summand(poly, r, v)
-    pf = partial_fractions(spec.summand)
-    residues = pf.residue_sum()
+    poly = check_series_args(poly, r, v)
+    parts = _principal_parts(poly, r, v)
+    residues = sum((c for (_, j), c in parts.items() if j == 1), Fraction(0))
     if residues != 0:
         # decay >= 2 forces the order-1 coefficients to cancel; if they do
         # not, the arithmetic upstream is broken, so abort loudly
@@ -113,12 +147,12 @@ def decompose(poly: Poly, r: int, v: int) -> ZetaCombination:
     sign = -1 if v % 2 else 1
     zeta: dict[int, Fraction] = {}
     constant = Fraction(0)
-    for t in pf.terms:
-        if t.order == 1:
-            constant -= t.coeff * harmonic(t.pole - 1)
+    for (m, j), c in parts.items():
+        if j == 1:
+            constant -= c * harmonic(m - 1)
         else:
-            zeta[t.order] = zeta.get(t.order, Fraction(0)) + t.coeff
-            constant -= t.coeff * generalized_harmonic(t.pole - 1, t.order)
+            zeta[j] = zeta.get(j, Fraction(0)) + c
+            constant -= c * generalized_harmonic(m - 1, j)
     return ZetaCombination.make(
         {j: sign * q for j, q in zeta.items()}, sign * constant
     )
@@ -192,9 +226,11 @@ def decomposition_report(
     g = 0
     for x in cleared:
         g = math.gcd(g, x.numerator)
-    assert math.gcd(g, d) == 1 or all(x == 0 for x in cleared), (
-        "cleared coefficients share a factor with the minimal denominator"
-    )
+    if math.gcd(g, d) != 1 and any(x != 0 for x in cleared):
+        raise RuntimeError(
+            "internal invariant violation: cleared coefficients share a factor "
+            "with the minimal denominator"
+        )
     pole_power = r + v
     a = b = gg = None
     mismatch = False
@@ -202,7 +238,11 @@ def decomposition_report(
         a = combo.coeff(4) * d / 90
         b_frac = combo.coeff(5) * d
         g_frac = combo.constant * d
-        assert b_frac.denominator == 1 and g_frac.denominator == 1
+        if b_frac.denominator != 1 or g_frac.denominator != 1:
+            raise RuntimeError(
+                "internal invariant violation: D does not clear the zeta(5) "
+                "coefficient and the constant"
+            )
         b, gg = b_frac.numerator, g_frac.numerator
         mismatch = any(j not in (4, 5) for j, _ in combo.zeta)
     return DecompositionReport(
@@ -305,8 +345,3 @@ def rationality_criterion(
         if progress is not None:
             progress(n)
     return records
-
-
-def legendre_family(n: int) -> Poly:
-    """Default polynomial family for criterion scans."""
-    return legendre_coeffs(n)

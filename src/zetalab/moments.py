@@ -32,12 +32,26 @@ __all__ = [
 ]
 
 
-def moment_from_coeffs(poly: Poly) -> RationalFunction:
-    """Moment of x**s against poly on [0, 1]: sum_l a_l / (s + l + 1)."""
+def _nonzero_poly(poly) -> Poly:
     if not isinstance(poly, Poly):
         poly = Poly(poly)
     if poly.is_zero:
         raise ValueError("zero polynomial has no moment")
+    return poly
+
+
+def check_series_args(poly, r: int, v: int) -> Poly:
+    """Reject (poly, r, v) whose series sum_k G(k) is undefined; return poly as a Poly."""
+    if r < 2:
+        raise ValueError("series diverges: need r >= 2 (terms decay like 1/k at r = 1)")
+    if v < 0:
+        raise ValueError("v must be >= 0")
+    return _nonzero_poly(poly)
+
+
+def moment_from_coeffs(poly: Poly) -> RationalFunction:
+    """Moment of x**s against poly on [0, 1]: sum_l a_l / (s + l + 1)."""
+    poly = _nonzero_poly(poly)
     support = [(l, a) for l, a in enumerate(poly.coeffs) if a != 0]
     den = Poly([1])
     for l, _ in support:
@@ -83,12 +97,7 @@ class SummandSpec:
 
 def build_summand(poly: Poly, r: int, v: int) -> SummandSpec:
     """Build G = d^v/ds^v [M**r] with its decay degree at s = infinity."""
-    if not isinstance(poly, Poly):
-        poly = Poly(poly)
-    if r < 2:
-        raise ValueError("series diverges: need r >= 2 (terms decay like 1/k at r = 1)")
-    if v < 0:
-        raise ValueError("v must be >= 0")
+    poly = check_series_args(poly, r, v)
     moment = moment_from_coeffs(poly)
     summand = (moment**r).derivative(v)
     decay = summand.decay_degree

@@ -137,17 +137,6 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def shift(self, a: RationalLike) -> "Poly":
-        """Taylor shift: the polynomial q with q(t) = p(t + a)."""
-        a = Fraction(a)
-        out = list(self.coeffs)
-        n = len(out)
-        # synthetic division by (t - a) repeated; O(n^2) exact
-        for i in range(n - 1):
-            for j in range(n - 2, i - 1, -1):
-                out[j] += a * out[j + 1]
-        return Poly(out)
-
     def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
         """Polynomial division with remainder over the rationals."""
         if other.is_zero:

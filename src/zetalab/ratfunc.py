@@ -1,4 +1,4 @@
-"""Exact rational functions in one variable s, and partial fractions.
+"""Exact rational functions in one variable s.
 
 A :class:`RationalFunction` is a ratio of two :class:`~zetalab.polys.Poly`
 values kept in canonical form: monic denominator, numerator and denominator
@@ -8,38 +8,16 @@ Common factors are cancelled with a subresultant polynomial remainder
 sequence over the integers, which keeps intermediate coefficient growth
 under control (naive rational Euclid blows up badly at the degrees this
 package routinely reaches).
-
-Partial fractions are restricted to denominators that split into factors
-(s + m) with integer m >= 1.  That covers every summand built from moments
-of polynomials on [0, 1] (their poles sit at s = -1 .. -(deg+1)) and lets
-the decomposition avoid root finding entirely: candidate poles are probed
-by exact evaluation and divided out.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polys import Poly
 
-__all__ = [
-    "RationalFunction",
-    "PartialFractionForm",
-    "PFTerm",
-    "UnsupportedPoleError",
-    "rf_normalize",
-    "rf_mul",
-    "rf_add",
-    "rf_pow",
-    "rf_derivative",
-    "partial_fractions",
-]
-
-
-class UnsupportedPoleError(ValueError):
-    """Denominator does not split into (s+m) factors with integer m >= 1."""
+__all__ = ["RationalFunction", "rf_normalize"]
 
 
 # ---------------------------------------------------------------------------
@@ -303,135 +281,3 @@ def rf_normalize(num, den=None) -> RationalFunction:
     if not isinstance(den, Poly):
         den = Poly(den)
     return RationalFunction(num, den)
-
-
-def rf_mul(f: RationalFunction, g: RationalFunction) -> RationalFunction:
-    return f * g
-
-
-def rf_add(f: RationalFunction, g: RationalFunction) -> RationalFunction:
-    return f + g
-
-
-def rf_pow(f: RationalFunction, r: int) -> RationalFunction:
-    return f**r
-
-
-def rf_derivative(f: RationalFunction, v: int = 1) -> RationalFunction:
-    return f.derivative(v)
-
-
-# ---------------------------------------------------------------------------
-# partial fractions over integer poles
-# ---------------------------------------------------------------------------
-
-_POLE_SCAN_LIMIT = 100_000
-
-
-@dataclass(frozen=True)
-class PFTerm:
-    """One term coeff / (s + pole)**order with integer pole >= 1."""
-
-    pole: int
-    order: int
-    coeff: Fraction
-
-
-@dataclass(frozen=True)
-class PartialFractionForm:
-    """Sum of PFTerms (plus a polynomial part, zero for proper inputs)."""
-
-    terms: tuple[PFTerm, ...]
-    polynomial_part: Poly
-
-    def as_dict(self) -> dict[tuple[int, int], Fraction]:
-        return {(t.pole, t.order): t.coeff for t in self.terms}
-
-    def residue_sum(self) -> Fraction:
-        """Sum of order-1 coefficients; must vanish for decay >= 2."""
-        return sum((t.coeff for t in self.terms if t.order == 1), Fraction(0))
-
-    def recombine(self) -> RationalFunction:
-        """Recombine all terms; exactly reproduces the source function."""
-        total = RationalFunction(self.polynomial_part, Poly([1]))
-        for t in self.terms:
-            den = Poly([t.pole, 1]) ** t.order
-            total = total + RationalFunction(Poly([t.coeff]), den)
-        return total
-
-
-def _integer_pole_factorization(den: Poly) -> dict[int, int]:
-    """Factor a monic denominator as prod (s+m)**order, integer m >= 1.
-
-    Probes candidate poles by exact evaluation, smallest first, and stops
-    once the remaining factor can have no further roots of admissible size.
-    Raises UnsupportedPoleError if the denominator does not split this way.
-    """
-    work = den
-    orders: dict[int, int] = {}
-    if work(0) == 0:
-        raise UnsupportedPoleError("unsupported pole: factor s (m = 0 not allowed)")
-    m = 1
-    while work.degree > 0:
-        if m > _POLE_SCAN_LIMIT:
-            raise UnsupportedPoleError(
-                f"unsupported pole: no integer pole found below {_POLE_SCAN_LIMIT}"
-            )
-        # remaining roots -m all satisfy m**(deg) <= |constant/lead|
-        c0 = abs(work.coeffs[0] / work.leading)
-        if Fraction(m) ** work.degree > c0:
-            raise UnsupportedPoleError(
-                "unsupported pole: denominator does not split into (s+m) factors"
-            )
-        if work(-m) == 0:
-            factor = Poly([m, 1])
-            count = 0
-            while True:
-                q, r = work.divmod(factor)
-                if not r.is_zero:
-                    break
-                work = q
-                count += 1
-            orders[m] = count
-        m += 1
-    return orders
-
-
-def _series_quotient(num: Poly, den: Poly, length: int) -> list[Fraction]:
-    """First `length` Taylor coefficients of num/den at t = 0 (den(0) != 0)."""
-    n = list(num.coeffs) + [Fraction(0)] * length
-    d = list(den.coeffs) + [Fraction(0)] * length
-    q0 = d[0]
-    out: list[Fraction] = []
-    for i in range(length):
-        acc = n[i]
-        for u in range(1, i + 1):
-            acc -= d[u] * out[i - u]
-        out.append(acc / q0)
-    return out
-
-
-def partial_fractions(f: RationalFunction) -> PartialFractionForm:
-    """Exact partial fractions of a proper f with integer poles m >= 1.
-
-    For each pole m of order o, the coefficients of (s+m)**-o .. (s+m)**-1
-    are the leading Taylor coefficients of (s+m)**o * f at s = -m, computed
-    by Taylor shift plus exact power-series division.  Zero coefficients are
-    omitted from the output.
-    """
-    if f.is_zero:
-        return PartialFractionForm((), Poly())
-    if f.num.degree >= f.den.degree:
-        raise ValueError("improper rational function (degree num >= degree den)")
-    orders = _integer_pole_factorization(f.den)
-    terms: list[PFTerm] = []
-    for m in sorted(orders):
-        o = orders[m]
-        rest = f.den.exact_div(Poly([m, 1]) ** o)
-        num_shifted = f.num.shift(-m)
-        rest_shifted = rest.shift(-m)
-        taylor = _series_quotient(num_shifted, rest_shifted, o)
-        for i, h in enumerate(taylor):
-            if h != 0:
-                terms.append(PFTerm(pole=m, order=o - i, coeff=h))
-    return PartialFractionForm(tuple(terms), Poly())

@@ -128,7 +128,10 @@ def _chebyshev_weights(n: int) -> list[int]:
         t = t * 4 * (n + i) * (n - i) / ((2 * i + 1) * (2 * i + 2))
         acc += t
         d = acc * n
-        assert d.denominator == 1
+        if d.denominator != 1:
+            raise RuntimeError(
+                f"internal invariant violation: weight d_{i + 1} = {d} is not an integer"
+            )
         out.append(d.numerator)
     return out
 
@@ -171,7 +174,11 @@ def zeta_value(j: int, precision: int) -> HighPrecisionValue:
     with mpmath.workdps(working):
         val = _fraction_to_mpf(approx)
         err = _fraction_to_mpf(trunc) + mpf(10) ** (2 - working)
-        assert err <= mpf(10) ** (-precision)
+        if err > mpf(10) ** (-precision):
+            raise RuntimeError(
+                f"zeta({j}) error bound {mpmath.nstr(err, 5)} exceeds the "
+                f"requested 1e-{precision}"
+            )
     out = HighPrecisionValue(value=val, error_bound=err, dps=precision)
     _zeta_cache[key] = out
     return out

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from zetalab import decompose, legendre_coeffs
+from zetalab.cache import DecompositionCache
 from zetalab.cli import main
 
 
@@ -64,6 +66,16 @@ def test_decompose_coeffs_same_as_family(capsys):
 def test_decompose_r1_exits_2(capsys):
     assert main(["decompose", "--n", "0", "--r", "1", "--v", "0"]) == 2
     assert "diverges" in capsys.readouterr().err
+
+
+def test_decompose_same_stdout_under_python_O():
+    args = ["decompose", "--n", "3", "--r", "3", "--v", "2"]
+    plain = run_cli(args)
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-m", "zetalab.cli", *args], capture_output=True, text=True
+    )
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
 
 
 def test_decompose_csv(capsys):
@@ -189,6 +201,26 @@ def test_cache_roundtrip_exact(tmp_path: Path, capsys):
     cached = capsys.readouterr().out
     assert cached == fresh
     assert cache.read_text().count("\n") == 1  # no duplicate append
+
+
+def test_cache_survives_a_torn_line(tmp_path: Path, capsys):
+    cache = tmp_path / "cache.jsonl"
+    first = ["decompose", "--n", "2", "--r", "2", "--v", "0", "--cache", str(cache)]
+    second = ["decompose", "--n", "3", "--r", "3", "--v", "2", "--cache", str(cache)]
+    assert main(first) == 0 and main(second) == 0
+    expected = capsys.readouterr().out.splitlines(keepends=True)[1]
+    # cut the second entry short, as a crash mid-append would
+    cache.write_text(cache.read_text()[:-20])
+    assert main(second) == 0
+    out = capsys.readouterr()
+    assert out.out == expected
+    assert "warning" in out.err and "line 2" in out.err
+    # the recomputed entry starts on a line of its own; both entries reload
+    lines = cache.read_text().splitlines()
+    assert len(lines) == 3 and json.loads(lines[2])
+    reread = DecompositionCache(cache)
+    for n, r, v in ((2, 2, 0), (3, 3, 2)):
+        assert reread.get(legendre_coeffs(n), r, v) == decompose(legendre_coeffs(n), r, v)
 
 
 def test_cache_value_consistency(tmp_path: Path, capsys):

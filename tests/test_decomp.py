@@ -3,9 +3,11 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zetalab import (
     Poly,
+    RationalFunction,
     ZetaCombination,
     apery_report,
     build_summand,
@@ -18,6 +20,7 @@ from zetalab import (
     series_partial_sum,
     tail_bound,
 )
+from zetalab.decomp import _principal_parts
 
 
 def test_decompose_n0_identities():
@@ -40,6 +43,90 @@ def test_decompose_p1_r3_v2_hand_value():
     # and summed termwise: -84 zeta(5) - 108 zeta(4) + 204
     combo = decompose(legendre_coeffs(1), 3, 2)
     assert combo == ZetaCombination.make({4: -108, 5: -84}, 204)
+
+
+def test_principal_parts_hand_examples():
+    # M = 1/(s+1): G = d^2/ds^2 (s+1)^-3 = 12 (s+1)^-5
+    assert _principal_parts(legendre_coeffs(0), 3, 2) == {(1, 5): 12}
+    assert decompose(legendre_coeffs(0), 3, 2) == ZetaCombination.make({5: 12})
+    # M = 1/(s+1) - 1/(s+2) = 1/((s+1)(s+2)), so M^2 = (s+1)^-2 + (s+2)^-2
+    # - 2/(s+1) + 2/(s+2); summed: zeta(2) + (zeta(2) - 1) - 2 H_1
+    one_minus_x = Poly([1, -1])
+    assert _principal_parts(one_minus_x, 2, 0) == {
+        (1, 2): 1, (1, 1): -2, (2, 2): 1, (2, 1): 2,
+    }
+    assert decompose(one_minus_x, 2, 0) == ZetaCombination.make({2: 2}, -3)
+    # its derivative: -2(s+1)^-3 + 2(s+1)^-2 - 2(s+2)^-3 - 2(s+2)^-2; minus
+    # the sum is 2 zeta(3) + 2 (zeta(3) - 1) - 2 zeta(2) + 2 (zeta(2) - 1)
+    assert _principal_parts(one_minus_x, 2, 1) == {
+        (1, 3): -2, (1, 2): 2, (2, 3): -2, (2, 2): -2,
+    }
+    assert decompose(one_minus_x, 2, 1) == ZetaCombination.make({3: 4}, -4)
+
+
+def _recombine(parts):
+    total = RationalFunction.constant(0)
+    for (m, j), c in parts.items():
+        total = total + RationalFunction(Poly([c]), Poly([m, 1]) ** j)
+    return total
+
+
+def assert_parts_rebuild_summand(poly, r, v):
+    # a proper rational function is fixed by its principal parts, so this
+    # pins every coefficient against the independent build_summand route
+    parts = _principal_parts(poly, r, v)
+    assert all(c != 0 for c in parts.values())
+    assert _recombine(parts) == build_summand(poly, r, v).summand
+    return parts
+
+
+def test_principal_parts_rebuild_summand_on_legendre_grid():
+    for n in range(7):
+        for r in (2, 3, 4):
+            for v in range(4):
+                assert_parts_rebuild_summand(legendre_coeffs(n), r, v)
+
+
+def test_principal_parts_rebuild_summand_sparse_and_non_integer():
+    polys = [
+        Poly([0, 1]),  # x: a single pole at s = -2
+        Poly([0, 0, 5, 0, 0, -3]),
+        Poly([0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, -1]),
+        Poly([Fraction(1, 2), 0, Fraction(-2, 3)]),
+        Poly([Fraction(7, 3), Fraction(-5, 4), Fraction(1, 6), 2]),
+    ]
+    for poly in polys:
+        for r, v in ((2, 0), (2, 3), (3, 1), (4, 2), (5, 4)):
+            assert_parts_rebuild_summand(poly, r, v)
+
+
+@settings(max_examples=40)
+@given(
+    coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=7).filter(any),
+    r=st.integers(2, 5),
+    v=st.integers(0, 4),
+)
+def test_principal_parts_property_on_random_integer_polys(coeffs, r, v):
+    poly = Poly(coeffs)
+    parts = assert_parts_rebuild_summand(poly, r, v)
+    # G decays like s**-2 at least, so the order-1 residues cancel
+    assert sum(c for (_, j), c in parts.items() if j == 1) == 0
+    combo = decompose(poly, r, v)
+    assert ZetaCombination.from_json_dict(json.loads(json.dumps(combo.to_json_dict()))) == combo
+
+
+def test_decompose_input_errors_match_build_summand():
+    # decompose no longer builds the summand but rejects the same inputs
+    # with the same messages, and still takes a plain coefficient list
+    for poly, r, v in ((legendre_coeffs(0), 1, 0), (legendre_coeffs(0), 2, -1), ([0, 0], 2, 0)):
+        with pytest.raises(ValueError) as fresh:
+            decompose(poly, r, v)
+        with pytest.raises(ValueError) as ref:
+            build_summand(poly, r, v)
+        assert str(fresh.value) == str(ref.value)
+    with pytest.raises(ValueError, match="diverges"):
+        decompose([1], 1, 0)
+    assert decompose([1, -2], 2, 0) == decompose(legendre_coeffs(1), 2, 0)
 
 
 def test_decompose_scaling_covariance():

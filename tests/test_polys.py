@@ -81,16 +81,6 @@ def test_poly_arithmetic_basics():
     assert Poly([5]).derivative().is_zero
 
 
-def test_poly_shift_is_taylor_shift():
-    rng = random.Random(7)
-    for _ in range(50):
-        p = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 8))])
-        a = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        q = p.shift(a)
-        for x in (-2, 0, 1, Fraction(3, 2)):
-            assert q(x) == p(x + a)
-
-
 def test_poly_divmod_roundtrip():
     rng = random.Random(11)
     for _ in range(50):

@@ -3,18 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetalab import (
-    PFTerm,
-    Poly,
-    RationalFunction,
-    UnsupportedPoleError,
-    partial_fractions,
-    rf_add,
-    rf_derivative,
-    rf_mul,
-    rf_normalize,
-    rf_pow,
-)
+from zetalab import Poly, RationalFunction, rf_normalize
 from zetalab.ratfunc import _int_poly_gcd
 
 
@@ -44,24 +33,23 @@ def test_zero_denominator_rejected():
 
 def test_mul_pow_add_examples():
     one_over = RationalFunction(Poly([1]), linear(1))
-    assert rf_pow(one_over, 3) == RationalFunction(Poly([1]), linear(1) ** 3)
+    assert one_over**3 == RationalFunction(Poly([1]), linear(1) ** 3)
     # 1/(s+1) - 1/(s+2) = 1/((s+1)(s+2))
-    assert rf_add(one_over, -RationalFunction(Poly([1]), linear(2))) == RationalFunction(
+    assert one_over + -RationalFunction(Poly([1]), linear(2)) == RationalFunction(
         Poly([1]), linear(1) * linear(2)
     )
     # s/(s+1) * (s+1)/s = 1
-    assert rf_mul(
-        RationalFunction(Poly([0, 1]), linear(1)),
-        RationalFunction(linear(1), Poly([0, 1])),
+    assert RationalFunction(Poly([0, 1]), linear(1)) * RationalFunction(
+        linear(1), Poly([0, 1])
     ) == RationalFunction.constant(1)
 
 
 def test_derivative_examples():
     f = RationalFunction(Poly([1]), linear(1))
-    assert rf_derivative(f, 1) == RationalFunction(Poly([-1]), linear(1) ** 2)
-    cube = rf_pow(f, 3)
-    assert rf_derivative(cube, 2) == RationalFunction(Poly([12]), linear(1) ** 5)
-    assert rf_derivative(cube, 0) == cube
+    assert f.derivative(1) == RationalFunction(Poly([-1]), linear(1) ** 2)
+    cube = f**3
+    assert cube.derivative(2) == RationalFunction(Poly([12]), linear(1) ** 5)
+    assert cube.derivative(0) == cube
 
 
 def random_rf(rng, max_deg=4, pole_range=(1, 6)):
@@ -161,90 +149,3 @@ def test_int_poly_gcd_random_products():
         for p in (a, b):
             q, r = p.divmod(got)
             assert r.is_zero
-
-
-# -- partial fractions --------------------------------------------------------
-
-
-def test_partial_fractions_spec_examples():
-    f = RationalFunction(Poly([1]), linear(1) * linear(2))
-    assert partial_fractions(f).as_dict() == {(1, 1): Fraction(1), (2, 1): Fraction(-1)}
-    g = RationalFunction(Poly([1]), linear(1) ** 2 * linear(2))
-    assert partial_fractions(g).as_dict() == {
-        (1, 2): Fraction(1),
-        (1, 1): Fraction(-1),
-        (2, 1): Fraction(1),
-    }
-    h = RationalFunction(Poly([12]), linear(1) ** 5)
-    assert partial_fractions(h).as_dict() == {(1, 5): Fraction(12)}
-
-
-def test_partial_fractions_recombination_random():
-    rng = random.Random(23)
-    for _ in range(40):
-        poles = rng.sample(range(1, 13), rng.randint(1, 3))
-        den = Poly([1])
-        for m in poles:
-            den = den * linear(m) ** rng.randint(1, 6)
-        num = Poly([rng.randint(-9, 9) for _ in range(den.degree)])
-        if num.is_zero:
-            continue
-        f = RationalFunction(num, den)
-        pf = partial_fractions(f)
-        assert pf.recombine() == f
-        assert pf.polynomial_part.is_zero
-
-
-def test_partial_fractions_roundtrip_known_terms():
-    # build from known terms, decompose back to exactly those terms
-    rng = random.Random(29)
-    for _ in range(25):
-        terms = {}
-        for m in rng.sample(range(1, 10), rng.randint(1, 3)):
-            for j in rng.sample(range(1, 5), rng.randint(1, 2)):
-                c = Fraction(rng.randint(-8, 8), rng.randint(1, 5))
-                if c:
-                    terms[(m, j)] = c
-        if not terms:
-            continue
-        f = RationalFunction.constant(0)
-        for (m, j), c in terms.items():
-            f = f + RationalFunction(Poly([c]), linear(m) ** j)
-        if f.is_zero:
-            continue
-        assert partial_fractions(f).as_dict() == terms
-
-
-def test_partial_fractions_residue_sum_vanishes_for_fast_decay():
-    rng = random.Random(31)
-    for _ in range(20):
-        den = Poly([1])
-        for m in rng.sample(range(1, 9), 3):
-            den = den * linear(m)
-        num = Poly([rng.randint(-9, 9) for _ in range(den.degree - 1)])
-        if num.is_zero:
-            continue
-        f = RationalFunction(num, den)
-        if f.decay_degree < 2:
-            continue
-        assert partial_fractions(f).residue_sum() == 0
-
-
-def test_partial_fractions_rejections():
-    with pytest.raises(ValueError, match="improper"):
-        partial_fractions(RationalFunction(Poly([1, 1, 1]), linear(1)))
-    with pytest.raises(UnsupportedPoleError):
-        partial_fractions(RationalFunction(Poly([1]), Poly([0, 1])))  # pole at 0
-    with pytest.raises(UnsupportedPoleError):
-        partial_fractions(RationalFunction(Poly([1]), Poly([1, 1, 1])))  # complex pair
-    with pytest.raises(UnsupportedPoleError):
-        partial_fractions(RationalFunction(Poly([1]), Poly([-2, 1])))  # pole at s = 2
-    with pytest.raises(UnsupportedPoleError):
-        partial_fractions(RationalFunction(Poly([1]), Poly([Fraction(1, 2), 1])))
-
-
-def test_pfterm_ordering_deterministic():
-    f = RationalFunction(Poly([1]), linear(2) ** 2 * linear(1))
-    terms = partial_fractions(f).terms
-    assert [(t.pole, t.order) for t in terms] == [(1, 1), (2, 2), (2, 1)]
-    assert terms[0] == PFTerm(pole=1, order=1, coeff=Fraction(1))

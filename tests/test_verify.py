@@ -70,6 +70,17 @@ def test_zeta_validation():
         zeta_value(3, 5)
 
 
+def test_zeta_value_raises_when_the_bound_misses_the_precision(monkeypatch):
+    # the certified claim must hold under python -O too: a loose bound is a
+    # raised error, not an assert
+    from zetalab import verify
+
+    monkeypatch.setattr(verify, "_zeta_cache", {})
+    monkeypatch.setattr(verify, "_zeta_rational", lambda j, digits: (Fraction(6, 5), Fraction(1, 10)))
+    with pytest.raises(RuntimeError, match="exceeds"):
+        zeta_value(3, 20)
+
+
 # -- combination evaluation ------------------------------------------------------
 
 
