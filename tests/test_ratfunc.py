@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from zetalab import Poly, RationalFunction, rf_normalize
+from zetalab import Poly, RationalFunction, build_summand, rf_normalize
+from zetalab.decomp import _principal_parts
 from zetalab.ratfunc import _int_poly_gcd
 
 
@@ -149,3 +150,34 @@ def test_int_poly_gcd_random_products():
         for p in (a, b):
             q, r = p.divmod(got)
             assert r.is_zero
+
+
+def random_moment_poly(rng):
+    coeffs = [rng.randint(-9, 9) for _ in range(rng.randint(1, 6))]
+    coeffs[rng.randrange(len(coeffs))] = rng.choice([-1, 1]) * rng.randint(1, 9)
+    return Poly(coeffs)
+
+
+def test_partial_fractions_recombination_random():
+    # the partial fractions of G = d^v/ds^v [M(s)**r] recombine to exactly
+    # the rational function that build_summand forms by field arithmetic
+    rng = random.Random(23)
+    for _ in range(40):
+        poly = random_moment_poly(rng)
+        r, v = rng.randint(2, 5), rng.randint(0, 4)
+        parts = _principal_parts(poly, r, v)
+        assert parts and all(c != 0 and j >= 1 for (_, j), c in parts.items())
+        f = RationalFunction.constant(0)
+        for (m, j), c in parts.items():
+            f = f + RationalFunction(Poly([c]), linear(m) ** j)
+        assert f == build_summand(poly, r, v).summand
+
+
+def test_partial_fractions_residue_sum_vanishes_for_fast_decay():
+    rng = random.Random(31)
+    for _ in range(20):
+        poly = random_moment_poly(rng)
+        r, v = rng.randint(2, 4), rng.randint(0, 3)
+        assert build_summand(poly, r, v).summand.decay_degree >= 2
+        parts = _principal_parts(poly, r, v)
+        assert sum(c for (_, j), c in parts.items() if j == 1) == 0
