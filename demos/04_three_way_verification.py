@@ -23,8 +23,8 @@ for n, r, v in [(0, 3, 2), (1, 2, 1), (2, 3, 0)]:
     )
 
 print()
-print("Certified direct summation picks its truncation point from a rigorous")
-print("tail bound and reports a bound that includes all rounding:")
+print("Certified direct summation adds an Euler-Maclaurin tail to an exact head")
+print("and reports a bound on everything it dropped:")
 for target in ("1e-6", "1e-10", "1e-14"):
     hv = direct_sum_value(legendre_coeffs(0), 3, 2, target)
     print(f"  target {target}: value={mpmath.nstr(hv.value, 16)}  bound={mpmath.nstr(hv.error_bound, 3)}")

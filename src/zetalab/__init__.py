@@ -32,7 +32,6 @@ from .decomp import (
 )
 from .verify import (
     CrosscheckReport,
-    DirectSumError,
     HighPrecisionValue,
     MCEstimate,
     crosscheck,
@@ -73,7 +72,6 @@ __all__ = [
     "HighPrecisionValue",
     "zeta_value",
     "eval_combination",
-    "DirectSumError",
     "direct_sum_value",
     "MCEstimate",
     "mc_integral",

@@ -2,15 +2,15 @@
 
 Keyed by (coefficient list, r, v) with coefficients in "p/q" form, so a
 reloaded combination is exactly equal to a fresh computation (rationals
-round-trip losslessly).  Appends take an exclusive file lock; reads are
+round-trip losslessly).  Writes take an exclusive file lock; reads are
 lock-free (JSON lines are atomic enough at these sizes, and the last entry
 for a key wins).
 
 A write cut short (say by a crash mid-append) leaves a torn line.  Readers
-skip a line that does not parse, with a warning on stderr, so the entry is
-simply recomputed; an append first ends a torn last line, so the new entry
-starts on a line of its own.  The repaired torn line then sits mid-file,
-which is why the skip applies to any line, not only the last.
+skip a line that does not parse as a cache record, torn or otherwise, with
+a warning on stderr, so the entry is simply recomputed, and rewrite the
+file without it, so the warning comes once.  An append first ends a torn
+last line, so the new entry starts on a line of its own.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import fcntl
 import json
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 from .decomp import ZetaCombination
@@ -34,6 +35,15 @@ def cache_path_from_env() -> str | None:
     return os.environ.get(ENV_VAR)
 
 
+def _parse(line: str) -> tuple[str, ZetaCombination] | None:
+    """(key, combination) on one cache line, or None for a line that does not parse."""
+    try:
+        rec = json.loads(line)
+        return json.dumps(rec["key"], sort_keys=True), ZetaCombination.from_json_dict(rec["combo"])
+    except (ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
+        return None
+
+
 def _key(poly: Poly, r: int, v: int) -> str:
     return json.dumps({"coeffs": poly_to_strings(poly), "r": r, "v": v}, sort_keys=True)
 
@@ -47,21 +57,51 @@ class DecompositionCache:
         if self._entries is None:
             self._entries = {}
             if self.path.exists():
+                torn = False
                 for i, line in enumerate(self.path.read_text().splitlines(), 1):
-                    line = line.strip()
-                    if not line:
+                    if not line.strip():
                         continue
-                    try:
-                        rec = json.loads(line)
-                    except json.JSONDecodeError:
+                    entry = _parse(line)
+                    if entry is None:
+                        torn = True
                         print(
                             f"warning: skipping unparsable cache line {i} of {self.path}",
                             file=sys.stderr,
                         )
                         continue
-                    key = json.dumps(rec["key"], sort_keys=True)
-                    self._entries[key] = ZetaCombination.from_json_dict(rec["combo"])
+                    key, combo = entry
+                    self._entries[key] = combo
+                if torn:
+                    self._drop_unparsable_lines()
         return self._entries
+
+    def _drop_unparsable_lines(self) -> None:
+        """Rewrite the file without the lines that do not parse.
+
+        The file is re-read under the append lock, so entries appended since
+        the lock-free read survive; the rewrite goes to a temporary file that
+        then replaces the cache in one step.  An append already waiting on
+        the old file's lock lands in the replaced file; its entry is simply
+        recomputed later.
+        """
+        with open(self.path, "rb") as fh:
+            fcntl.flock(fh, fcntl.LOCK_EX)
+            try:
+                lines = fh.read().decode().splitlines()
+                kept = [line for line in lines if _parse(line) is not None]
+                fd, tmp = tempfile.mkstemp(dir=self.path.parent, prefix=self.path.name)
+                try:
+                    with os.fdopen(fd, "w") as out:
+                        os.fchmod(out.fileno(), os.fstat(fh.fileno()).st_mode & 0o777)
+                        out.writelines(line + "\n" for line in kept)
+                        out.flush()
+                        os.fsync(out.fileno())
+                    os.replace(tmp, self.path)
+                except BaseException:
+                    os.unlink(tmp)
+                    raise
+            finally:
+                fcntl.flock(fh, fcntl.LOCK_UN)
 
     def get(self, poly: Poly, r: int, v: int) -> ZetaCombination | None:
         return self._load().get(_key(poly, r, v))

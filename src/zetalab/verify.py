@@ -4,8 +4,10 @@ and a reproducible Monte Carlo oracle for the r-fold integrals.
 Three independent evaluation paths cross-check each other:
 
 1. exact decomposition -> ``eval_combination`` (zeta-basis, certified);
-2. ``direct_sum_value``: truncated series plus a rigorous tail bound,
-   never touching partial fractions;
+2. ``direct_sum_value``: the first K terms summed exactly, plus an
+   Euler-Maclaurin tail read off the summand's expansion at s = infinity,
+   with certified bounds on the dropped expansion terms and on the
+   remainder; it never touches partial fractions or zeta values;
 3. ``mc_integral``: plain uniform Monte Carlo over the unit cube.  The
    integrable singularities (log powers at the faces, the simple pole at
    the corner of the cube) keep the variance finite at desk scale, at the
@@ -41,20 +43,14 @@ import numpy as np
 from mpmath import mpf
 
 from .decomp import ZetaCombination, decompose
-from .fastsum import CertifiedSumError, certified_range_sum
-from .moments import (
-    SummandSpec,
-    build_summand,
-    series_partial_sum,
-    tail_bound,
-)
+from .moments import SummandSpec, build_summand, series_partial_sum
 from .polys import Poly, legendre_coeffs
+from .ratfunc import RationalFunction
 
 __all__ = [
     "HighPrecisionValue",
     "zeta_value",
     "eval_combination",
-    "DirectSumError",
     "direct_sum_value",
     "MCEstimate",
     "mc_integral",
@@ -64,10 +60,6 @@ __all__ = [
 ]
 
 _MC_CHUNK = 1 << 16
-
-
-class DirectSumError(RuntimeError):
-    """Requested accuracy is unreachable at a feasible truncation point."""
 
 
 @dataclass(frozen=True)
@@ -86,30 +78,8 @@ class HighPrecisionValue:
         }
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
-    if man == 0:
-        return Fraction(0)
-    val = Fraction(man) * Fraction(2) ** exp
-    return -val if sign else val
-
-
 def _fraction_to_mpf(x: Fraction):
     return mpf(x.numerator) / mpf(x.denominator)
-
-
-def _to_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        return Fraction(x)
-    if isinstance(x, mpf):
-        return _mpf_to_fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
 # ---------------------------------------------------------------------------
@@ -224,151 +194,121 @@ def eval_combination(combo: ZetaCombination, precision: int = 30) -> HighPrecisi
 # fractions)
 # ---------------------------------------------------------------------------
 
-_MPF_TIER_CAP = 200_000
-_FLOAT_TIER_CAP = 1 << 31
-_EXACT_HEAD = 1024
+# 2*pi > 6.2831853: a rational lower bound for the Euler-Maclaurin remainder
+_TWO_PI_LOWER = Fraction(62831853, 10**7)
 
 
-def _min_k_for_tail(spec: SummandSpec, tau: Fraction, k_max: int) -> int | None:
-    """Smallest K >= 2 with tail_bound(spec, K) <= tau, or None past k_max."""
-    if tail_bound(spec, 2) <= tau:
-        return 2
-    hi = 2
-    while tail_bound(spec, hi) > tau:
-        hi *= 4
-        if hi > k_max:
-            if tail_bound(spec, k_max) > tau:
-                return None
-            hi = k_max
-            break
-    lo = hi // 4 + 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if tail_bound(spec, mid) <= tau:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+def _expansion_at_infinity(g: RationalFunction, order: int) -> list[Fraction]:
+    """e_0..e_order with g(s) = sum_i e_i s**-i near s = infinity.
 
-
-def _horner_int(coeffs: list[int], k: int) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * k + c
-    return acc
-
-
-def _summand_int_parts(spec: SummandSpec) -> tuple[list[int], list[int], Fraction]:
-    """G = scale * N_int / D_int with integer coefficient lists."""
-    n_int, n_den = spec.summand.num.clear_denominators()
-    d_int, d_den = spec.summand.den.clear_denominators()
-    return n_int, d_int, Fraction(d_den, n_den)
-
-
-def _mpf_tier_sum(spec: SummandSpec, K: int, tau: Fraction):
-    """Sum of G(k), k < K, as mpf, with a certified rounding bound <= tau/2."""
-    n_int, d_int, scale = _summand_int_parts(spec)
-    head = max(abs(spec.summand(k)) for k in range(min(8, K)))
-    guess = (
-        22
-        + _magnitude_digits(_to_fraction(1) / tau if tau < 1 else Fraction(1))
-        + _magnitude_digits(Fraction(K) * (head + 1))
-    )
-    for attempt in range(3):
-        dps = guess * (attempt + 1)
-        with mpmath.workdps(dps):
-            eps = mpf(10) ** (2 - dps)
-            sc = _fraction_to_mpf(scale)
-            total = mpf(0)
-            total_abs = mpf(0)
-            for k in range(K):
-                t = mpf(_horner_int(n_int, k)) / mpf(_horner_int(d_int, k))
-                total += t
-                total_abs += abs(t)
-            total *= sc
-            bound_mpf = 2 * (K + 8) * eps * (total_abs * abs(sc) + 1)
-            bound = _mpf_to_fraction(+bound_mpf) * 2
-        if bound <= tau / 2:
-            return total, bound
-    raise RuntimeError("could not certify rounding error in mpf summation tier")
-
-
-def _float_tier_sum(spec: SummandSpec, K: int, tau: Fraction):
-    """Exact head plus certified float64 range sum for the long tail."""
-    head_n = min(_EXACT_HEAD, K)
-    head = series_partial_sum(spec, head_n)
-    n_int, d_int, scale = _summand_int_parts(spec)
-    num_scaled = [c * scale for c in map(Fraction, n_int)]
-    try:
-        tail_val, tail_err = certified_range_sum(
-            num_scaled, [Fraction(c) for c in d_int], head_n, K
-        )
-    except CertifiedSumError as exc:
-        raise DirectSumError(
-            f"target needs K = {K} terms but float64 cannot certify them: {exc}"
-        ) from exc
-    if tail_err > tau / 2:
-        raise DirectSumError(
-            f"target unreachable: float64 rounding bound {float(tail_err):.3e} "
-            f"exceeds half the target at K = {K}"
-        )
-    dps = 40 + _magnitude_digits(abs(head) + 1)
-    with mpmath.workdps(dps):
-        total = _fraction_to_mpf(head) + mpf(tail_val)
-        bound = tail_err + _mpf_to_fraction(mpf(10) ** (2 - dps) * (abs(total) + 1)) * 4
-    return total, bound
-
-
-def direct_sum_value(
-    poly: Poly,
-    r: int,
-    v: int,
-    target_error,
-    *,
-    mpf_cap: int = _MPF_TIER_CAP,
-    float_cap: int = _FLOAT_TIER_CAP,
-) -> HighPrecisionValue:
-    """(-1)**v times the series sum, certified within target_error.
-
-    The truncation point K is the smallest one whose rigorous tail bound
-    drops below half the target; the partial sum is then evaluated with a
-    certified rounding budget for the other half.  Exact rational terms
-    feed an mpf accumulation up to ``mpf_cap`` terms; beyond that a
-    certified float64 tier (exact rational head, running-error-bounded
-    vectorized tail) carries ranges up to ``float_cap``.  Past that, or
-    when float64 cannot certify the budget, a DirectSumError reports the K
-    the target would need.  Fully independent of partial fractions.
+    With y = 1/s, g = y**d * Nrev(y) / Drev(y), where d is the decay degree
+    and the reversed coefficient lists have Drev(0) = 1 (g's denominator is
+    monic); one exact power-series division gives e_d, e_{d+1}, ...
     """
-    spec = build_summand(poly, r, v)
-    tau = _to_fraction(target_error)
+    nrev = g.num.coeffs[::-1]
+    drev = g.den.coeffs[::-1]
+    d = g.decay_degree
+    q: list[Fraction] = []
+    for k in range(order - d + 1):
+        c = nrev[k] if k < len(nrev) else Fraction(0)
+        for j in range(1, min(k, len(drev) - 1) + 1):
+            c -= drev[j] * q[k - j]
+        q.append(c)
+    return [Fraction(0)] * d + q
+
+
+def _euler_maclaurin_sum(spec: SummandSpec, tau: Fraction) -> tuple[Fraction, Fraction, int]:
+    """(S, bound, K) with |sum_{k>=0} G(k) - S| <= bound <= tau / 2.
+
+    G = P + T splits at s = infinity into P = sum_{d<=i<=L} e_i s**-i and a
+    remainder T.  S is the exact head sum_{k<K} G(k) plus the
+    Euler-Maclaurin sum of P from K on, term by term over the powers:
+
+        sum_{k>=K} k**-i = K**(1-i)/(i-1) + K**-i/2
+                           + sum_{j<=p} B_2j/(2j)! (i)_2j-1 K**(1-i-2j) + R,
+        |R| <= 4/(2 pi)**2p * (i)_2p-1 K**(1-i-2p),
+
+    with (i)_q the rising factorial; the remainder bound follows Johansson,
+    arXiv:1309.2877.  The poles of G lie at -m with 1 <= m <= mu = deg(poly) + 1,
+    so with rho = 2 mu, |G| <= M = Ntilde(rho)/|D(-rho)| on |s| = rho
+    (Ntilde takes absolute coefficients; D is monic with its roots at the
+    -m, so |D(s)| >= |D(-rho)| there).  Cauchy's estimate gives
+    |e_i| <= M rho**i, hence
+
+        sum_{k>=K} |T(k)| <= M (rho/K)**(L+1) (1 + K/L) / (1 - rho/K).
+
+    L is the least order that brings this under tau/4.  K starts at 8 rho
+    and doubles until some p brings the remainder under tau/4 before the
+    remainder bounds start to grow again.  Everything is exact rational
+    arithmetic, so the bound covers all error.
+    """
+    g = spec.summand
+    d = spec.decay_degree
+    radius = 2 * (spec.poly.degree + 1)
+    g_max = g.num.abs_coeffs()(radius) / abs(g.den(-radius))
+    budget = tau / 4
+    K = 8 * radius
+    e: list[Fraction] = []
+    while True:
+        x = Fraction(radius, K)
+        L = d
+        while g_max * x ** (L + 1) * (1 + Fraction(K, L)) / (1 - x) > budget:
+            L += 1
+        truncation = g_max * x ** (L + 1) * (1 + Fraction(K, L)) / (1 - x)
+        if len(e) <= L:
+            e = _expansion_at_infinity(g, L)
+        u = [e[i] / Fraction(K) ** i for i in range(d, L + 1)]  # e_i K**-i, i >= d
+        rising = list(range(d, L + 1))  # (i)_2j-1 at j = 1
+        corrections = Fraction(0)
+        factorial = 1
+        previous = None
+        j = 1
+        while True:
+            factorial *= (2 * j - 1) * (2 * j)
+            k_power = Fraction(1, K ** (2 * j - 1))
+            b_num, b_den = mpmath.bernfrac(2 * j)
+            signed = sum(ui * ri for ui, ri in zip(u, rising)) * k_power
+            corrections += Fraction(b_num, b_den * factorial) * signed
+            absolute = sum(abs(ui) * ri for ui, ri in zip(u, rising)) * k_power
+            remainder = 4 * absolute / _TWO_PI_LOWER ** (2 * j)
+            if remainder <= budget:
+                integral = sum(ui * K / (i - 1) for i, ui in enumerate(u, d))
+                tail = integral + sum(u) / 2 + corrections
+                return series_partial_sum(spec, K) + tail, truncation + remainder, K
+            if previous is not None and remainder >= previous:
+                break
+            previous = remainder
+            rising = [ri * (i + 2 * j - 1) * (i + 2 * j) for i, ri in enumerate(rising, d)]
+            j += 1
+        K *= 2
+
+
+def _direct_sum(spec: SummandSpec, tau: Fraction) -> tuple[HighPrecisionValue, int]:
+    """direct_sum_value's result for spec, and the number K of exact terms."""
     if tau <= 0:
         raise ValueError("target_error must be positive")
-    k_needed = _min_k_for_tail(spec, tau / 2, float_cap)
-    if k_needed is None:
-        d = spec.decay_degree
-        from .moments import envelope_constant
-
-        c = envelope_constant(spec, float_cap)
-        mag = _magnitude_digits(2 * c / ((d - 1) * tau)) + 1
-        k_digits = max(1, -(-mag // (d - 1)))
-        raise DirectSumError(
-            f"target {float(tau):.3e} unreachable at feasible K: decay degree {d} "
-            f"needs roughly K = 10**{k_digits} terms (cap {float_cap})"
-        )
-    if k_needed <= mpf_cap:
-        total, rbound = _mpf_tier_sum(spec, k_needed, tau)
-    else:
-        total, rbound = _float_tier_sum(spec, k_needed, tau)
-    tail = tail_bound(spec, k_needed)
-    err_fr = tail + rbound
+    total, bound, K = _euler_maclaurin_sum(spec, tau)
     sign = -1 if spec.v % 2 else 1
-    out_dps = max(15, _magnitude_digits(Fraction(1) / err_fr) + 5)
+    out_dps = max(15, _magnitude_digits(1 / bound) + _magnitude_digits(abs(total)) + 5)
     with mpmath.workdps(out_dps):
-        val = +(sign * total)
-        err = _fraction_to_mpf(err_fr) * (1 + mpf(10) ** -8) + abs(val) * mpf(10) ** (
+        val = _fraction_to_mpf(sign * total)
+        err = _fraction_to_mpf(bound) * (1 + mpf(10) ** -8) + abs(val) * mpf(10) ** (
             1 - out_dps
         )
-    return HighPrecisionValue(value=val, error_bound=err, dps=out_dps)
+    return HighPrecisionValue(value=val, error_bound=err, dps=out_dps), K
+
+
+def direct_sum_value(poly: Poly, r: int, v: int, target_error) -> HighPrecisionValue:
+    """(-1)**v times the series sum, certified within target_error.
+
+    An exact head of K terms plus an Euler-Maclaurin tail read off G's
+    expansion at infinity, with rigorous bounds on both the dropped
+    expansion terms and the remainder (see _euler_maclaurin_sum).  Every
+    positive target is reachable.  target_error is anything Fraction()
+    reads: an int, a str such as "1e-6", a float or a Fraction.  Fully
+    independent of partial fractions and of zeta_value.
+    """
+    return _direct_sum(build_summand(poly, r, v), Fraction(target_error))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +432,11 @@ def mc_integral(
 
 @dataclass(frozen=True)
 class CrosscheckReport:
-    """Agreement report for the three computation paths on one case."""
+    """Agreement report for the three computation paths on one case.
+
+    direct_K is the number of series terms the direct path summed exactly
+    before its Euler-Maclaurin tail.
+    """
 
     n: int
     r: int
@@ -500,6 +444,7 @@ class CrosscheckReport:
     precision: int
     exact: HighPrecisionValue
     direct: HighPrecisionValue
+    direct_K: int
     mc: MCEstimate
     exact_vs_direct_ok: bool
     exact_vs_mc_ok: bool
@@ -507,6 +452,13 @@ class CrosscheckReport:
     @property
     def passed(self) -> bool:
         return self.exact_vs_direct_ok and self.exact_vs_mc_ok
+
+    @property
+    def verified_digits(self) -> int:
+        """Decimal digits the exact and direct enclosures certify together."""
+        with mpmath.workdps(20):
+            total = self.exact.error_bound + self.direct.error_bound
+            return int(mpmath.floor(-mpmath.log10(total)))
 
     def to_json_dict(self) -> dict:
         return {
@@ -516,18 +468,13 @@ class CrosscheckReport:
             "precision": self.precision,
             "exact": self.exact.to_json_dict(),
             "direct": self.direct.to_json_dict(),
+            "direct_K": self.direct_K,
+            "verified_digits": self.verified_digits,
             "mc": self.mc.to_json_dict(),
             "exact_vs_direct_ok": self.exact_vs_direct_ok,
             "exact_vs_mc_ok": self.exact_vs_mc_ok,
             "passed": self.passed,
         }
-
-
-def _auto_direct_target(spec: SummandSpec, precision: int, mpf_cap: int) -> Fraction:
-    tau0 = Fraction(1, 10**precision)
-    if _min_k_for_tail(spec, tau0 / 2, mpf_cap) is not None:
-        return tau0
-    return 2 * tail_bound(spec, mpf_cap)
 
 
 def crosscheck(
@@ -537,24 +484,22 @@ def crosscheck(
     precision: int = 30,
     samples: int = 100_000,
     seed: int = 0,
-    *,
-    mpf_cap: int = _MPF_TIER_CAP,
 ) -> CrosscheckReport:
     """Compare the three paths on the degree-n family member.
 
-    Pass criteria: |exact - direct| within the sum of the two certified
-    bounds, and |exact - mc| within 4 standard errors.
+    Pass criteria: the direct sum certified to 10**-precision, |exact -
+    direct| within the sum of the two certified bounds, and |exact - mc|
+    within 4 standard errors.
     """
     poly = legendre_coeffs(n)
-    combo = decompose(poly, r, v)
-    exact = eval_combination(combo, precision)
-    spec = build_summand(poly, r, v)
-    target = _auto_direct_target(spec, precision, mpf_cap)
-    direct = direct_sum_value(poly, r, v, target, mpf_cap=mpf_cap)
+    exact = eval_combination(decompose(poly, r, v), precision)
+    target = Fraction(1, 10**precision)
+    direct, direct_K = _direct_sum(build_summand(poly, r, v), target)
     mc = mc_integral(poly, r, v, 0.0, samples, seed)
     with mpmath.workdps(precision + 10):
         d1 = abs(exact.value - direct.value)
         ok1 = d1 <= exact.error_bound + direct.error_bound
+        ok1 = ok1 and direct.error_bound <= _fraction_to_mpf(target)
         d2 = abs(exact.value - mpf(mc.mean))
         ok2 = d2 <= 4 * mpf(mc.stderr)
     return CrosscheckReport(
@@ -564,6 +509,7 @@ def crosscheck(
         precision=precision,
         exact=exact,
         direct=direct,
+        direct_K=direct_K,
         mc=mc,
         exact_vs_direct_ok=bool(ok1),
         exact_vs_mc_ok=bool(ok2),

@@ -33,3 +33,16 @@ def test_cache_last_entry_wins(tmp_path: Path):
     cache.put(poly, 2, 0, combo)
     assert len(path.read_text().splitlines()) == 2
     assert DecompositionCache(path).get(poly, 2, 0) == combo
+
+
+def test_cache_skips_and_drops_lines_of_the_wrong_shape(tmp_path: Path, capsys):
+    path = tmp_path / "c.jsonl"
+    poly = legendre_coeffs(2)
+    DecompositionCache(path).put(poly, 2, 1, decompose(poly, 2, 1))
+    good = path.read_text()
+    bad = ['{}', '[1]', '{"key": 1}', '{"key": 1, "combo": {"zeta": [], "constant": "1"}}',
+           '{"key": 1, "combo": {"zeta": {}, "constant": "1/0"}}']
+    path.write_text("\n".join(bad) + "\n" + good)
+    assert DecompositionCache(path).get(poly, 2, 1) == decompose(poly, 2, 1)
+    assert capsys.readouterr().err.count("skipping unparsable cache line") == len(bad)
+    assert path.read_text() == good

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import subprocess
 import sys
@@ -137,6 +138,28 @@ def test_verify_pass_exit_codes(capsys):
     assert obj["mc"]["samples"] == 100000
 
 
+@pytest.mark.parametrize("prec", [30, 50])
+def test_verify_certifies_the_requested_precision(prec, capsys):
+    code = main(["verify", "--n", "2", "--r", "2", "--v", "0", "--prec", str(prec),
+                 "--samples", "10000", "--seed", "7"])
+    obj = json.loads(capsys.readouterr().out)
+    assert code == 0 and obj["passed"] is True
+    assert obj["verified_digits"] >= prec
+    assert float(obj["direct"]["error_bound"]) <= 10.0**-prec
+    assert obj["direct_K"] >= 1
+
+
+def test_verify_same_stdout_under_python_O():
+    args = ["verify", "--n", "1", "--r", "2", "--v", "1", "--prec", "30",
+            "--samples", "20000", "--seed", "3"]
+    plain = run_cli(args)
+    optimized = subprocess.run(
+        [sys.executable, "-O", "-m", "zetalab.cli", *args], capture_output=True, text=True
+    )
+    assert plain.returncode == optimized.returncode == 0
+    assert optimized.stdout == plain.stdout
+
+
 def test_malformed_flags_exit_2():
     proc = run_cli(["decompose", "--n", "0", "--r"])
     assert proc.returncode == 2
@@ -151,17 +174,12 @@ def test_moment_closed_form_needs_family(capsys):
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
     import zetalab.cli as cli
-    from zetalab.verify import CrosscheckReport
 
     true_crosscheck = cli.crosscheck
 
     def fake_crosscheck(n, r, v, precision, samples, seed):
         real = true_crosscheck(n, r, v, precision=precision, samples=samples, seed=seed)
-        return CrosscheckReport(
-            n=real.n, r=real.r, v=real.v, precision=real.precision,
-            exact=real.exact, direct=real.direct, mc=real.mc,
-            exact_vs_direct_ok=real.exact_vs_direct_ok, exact_vs_mc_ok=False,
-        )
+        return dataclasses.replace(real, exact_vs_mc_ok=False)
 
     monkeypatch.setattr(cli, "crosscheck", fake_crosscheck)
     code = main(["verify", "--n", "0", "--r", "2", "--v", "0", "--prec", "15",
@@ -215,9 +233,13 @@ def test_cache_survives_a_torn_line(tmp_path: Path, capsys):
     out = capsys.readouterr()
     assert out.out == expected
     assert "warning" in out.err and "line 2" in out.err
-    # the recomputed entry starts on a line of its own; both entries reload
+    # the torn line is gone and the recomputed entry took its place, so
+    # the next run reads the file without a warning
     lines = cache.read_text().splitlines()
-    assert len(lines) == 3 and json.loads(lines[2])
+    assert len(lines) == 2 and all(json.loads(line) for line in lines)
+    assert main(second) == 0
+    out = capsys.readouterr()
+    assert out.out == expected and out.err == ""
     reread = DecompositionCache(cache)
     for n, r, v in ((2, 2, 0), (3, 3, 2)):
         assert reread.get(legendre_coeffs(n), r, v) == decompose(legendre_coeffs(n), r, v)

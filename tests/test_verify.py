@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zetalab import (
-    DirectSumError,
+    Poly,
     ZetaCombination,
     build_summand,
     crosscheck,
@@ -14,11 +15,11 @@ from zetalab import (
     eval_combination,
     legendre_coeffs,
     mc_integral,
+    series_partial_sum,
     shifted_series_value,
+    tail_bound,
     zeta_value,
 )
-from zetalab.verify import _mpf_tier_sum, _min_k_for_tail
-from zetalab.moments import tail_bound
 
 
 # -- zeta values ---------------------------------------------------------------
@@ -139,48 +140,60 @@ def test_direct_sum_sign_convention():
     assert d.value > 0
 
 
-def test_direct_sum_unreachable_target():
-    with pytest.raises(DirectSumError, match="K"):
-        direct_sum_value(legendre_coeffs(0), 2, 0, Fraction(1, 10**30))
-
-
-def test_direct_sum_tiers_agree():
-    # force the same case through both tiers by shrinking the mpf cap
-    poly = legendre_coeffs(1)
-    a = direct_sum_value(poly, 2, 0, Fraction(1, 10**4))
-    b = direct_sum_value(poly, 2, 0, Fraction(1, 10**4), mpf_cap=10)
-    with mpmath.workdps(30):
-        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
-
-
-def test_mpf_tier_rounding_budget_holds():
-    rng = random.Random(41)
+def test_direct_sum_encloses_zeta2_to_1e_40():
+    # slow 1/k**2 decay at a target no truncated sum of that series reaches
+    d = direct_sum_value(legendre_coeffs(0), 2, 0, Fraction(1, 10**40))
     with mpmath.workdps(60):
-        for _ in range(6):
-            poly = None
-            from zetalab import Poly
-
-            while poly is None or poly.is_zero:
-                poly = Poly([rng.randint(-4, 4) for _ in range(3)])
-            spec = build_summand(poly, 2, rng.randint(0, 2))
-            K = 500
-            tau = Fraction(1, 10**10)
-            total, bound = _mpf_tier_sum(spec, K, tau)
-            from zetalab import series_partial_sum
-
-            exact = series_partial_sum(spec, K)
-            diff = abs(total - mpmath.mpf(exact.numerator) / exact.denominator)
-            assert diff <= mpmath.mpf(bound.numerator) / bound.denominator + mpmath.mpf(
-                "1e-45"
-            )
+        assert abs(d.value - mpmath.zeta(2)) <= d.error_bound
+        assert d.error_bound <= mpmath.mpf("1e-40")
 
 
-def test_min_k_solver_consistency():
-    spec = build_summand(legendre_coeffs(2), 2, 1)
-    tau = Fraction(1, 10**7)
-    k = _min_k_for_tail(spec, tau, 2**31)
-    assert tail_bound(spec, k) <= tau
-    assert k == 2 or tail_bound(spec, k - 1) > tau
+def test_direct_sum_encloses_the_integral_comparison_bracket():
+    # the exact partial sum plus the independent integral-comparison tail
+    # bound brackets the series; the Euler-Maclaurin enclosure must meet it
+    rng = random.Random(41)
+    cases = [(legendre_coeffs(1), 2, 0)]
+    while len(cases) < 7:
+        poly = Poly([rng.randint(-4, 4) for _ in range(3)])
+        if not poly.is_zero:
+            cases.append((poly, 2, rng.randint(0, 2)))
+    with mpmath.workdps(60):
+        for poly, r, v in cases:
+            spec = build_summand(poly, r, v)
+            K = 2000
+            head = series_partial_sum(spec, K) * (-1) ** v
+            slack = tail_bound(spec, K)
+            d = direct_sum_value(poly, r, v, Fraction(1, 10**30))
+            gap = abs(d.value - mpmath.mpf(head.numerator) / head.denominator)
+            assert gap <= d.error_bound + mpmath.mpf(slack.numerator) / slack.denominator
+
+
+def test_direct_sum_target_types():
+    # Fraction(target) reads every type callers pass; the bound meets each
+    e = eval_combination(decompose(legendre_coeffs(1), 2, 1), 30)
+    for target in (1, "1e-6", 1e-9, Fraction(1, 10**12)):
+        d = direct_sum_value(legendre_coeffs(1), 2, 1, target)
+        t = Fraction(target)
+        with mpmath.workdps(40):
+            assert d.error_bound <= mpmath.mpf(t.numerator) / t.denominator
+            assert abs(d.value - e.value) <= d.error_bound + e.error_bound
+    with pytest.raises(ValueError):
+        direct_sum_value(legendre_coeffs(1), 2, 1, 0)
+
+
+@settings(max_examples=40)
+@given(
+    coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any),
+    r=st.integers(2, 5),
+    v=st.integers(0, 4),
+)
+def test_direct_sum_encloses_exact_value_on_random_integer_polys(coeffs, r, v):
+    poly = Poly(coeffs)
+    e = eval_combination(decompose(poly, r, v), 30)
+    d = direct_sum_value(poly, r, v, Fraction(1, 10**30))
+    with mpmath.workdps(60):
+        assert d.error_bound <= mpmath.mpf("1e-30")
+        assert abs(d.value - e.value) <= d.error_bound + e.error_bound
 
 
 # -- Monte Carlo ------------------------------------------------------------------
