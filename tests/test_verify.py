@@ -20,6 +20,7 @@ from zetalab import (
     tail_bound,
     zeta_value,
 )
+from zetalab.verify import _direct_sum, _euler_maclaurin_sum
 
 
 # -- zeta values ---------------------------------------------------------------
@@ -146,6 +147,40 @@ def test_direct_sum_encloses_zeta2_to_1e_40():
     with mpmath.workdps(60):
         assert abs(d.value - mpmath.zeta(2)) <= d.error_bound
         assert d.error_bound <= mpmath.mpf("1e-40")
+
+
+def test_direct_sum_tiers_agree():
+    # a coarse and a fine target sum the same case at different expansion
+    # orders L and Euler-Maclaurin orders p; the two enclosures must overlap
+    poly = legendre_coeffs(1)
+    a = direct_sum_value(poly, 2, 0, Fraction(1, 10**4))
+    b = direct_sum_value(poly, 2, 0, Fraction(1, 10**30))
+    with mpmath.workdps(40):
+        assert b.error_bound < a.error_bound
+        assert abs(a.value - b.value) <= a.error_bound + b.error_bound
+
+
+def _exact(x) -> Fraction:
+    # man_exp drops the sign of an mpf
+    man, exp = x.man_exp
+    return (-1 if x < 0 else 1) * man * Fraction(2) ** exp
+
+
+def test_mpf_tier_rounding_budget_holds():
+    # the exact sum is rounded to mpf once; error_bound must cover that
+    # rounding on top of the exact truncation bound, checked exactly
+    rng = random.Random(41)
+    tau = Fraction(1, 10**10)
+    for _ in range(6):
+        poly = None
+        while poly is None or poly.is_zero:
+            poly = Poly([rng.randint(-4, 4) for _ in range(3)])
+        spec = build_summand(poly, 2, rng.randint(0, 2))
+        total, bound, _ = _euler_maclaurin_sum(spec, tau)
+        d, _ = _direct_sum(spec, tau)
+        exact = total * (-1) ** spec.v
+        assert bound <= tau / 2
+        assert abs(_exact(d.value) - exact) <= _exact(d.error_bound) - bound
 
 
 def test_direct_sum_encloses_the_integral_comparison_bracket():
