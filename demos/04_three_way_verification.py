@@ -14,7 +14,7 @@ from zetalab import crosscheck, direct_sum_value, legendre_coeffs, mc_integral
 print("Crosscheck reports (exact vs direct within certified bounds; exact vs")
 print("Monte Carlo within 4 standard errors):")
 for n, r, v in [(0, 3, 2), (1, 2, 1), (2, 3, 0)]:
-    rep = crosscheck(n, r, v, precision=30, samples=200_000, seed=42)
+    rep = crosscheck(legendre_coeffs(n), r, v, precision=30, samples=200_000, seed=42)
     print(
         f"  n={n} r={r} v={v}: exact={mpmath.nstr(rep.exact.value, 12)}"
         f"  direct={mpmath.nstr(rep.direct.value, 12)}"

@@ -10,7 +10,7 @@ Carlo integrator provide two independent checks on every number produced.
 
 from .numtheory import binomial, generalized_harmonic, harmonic, lcm_upto
 from .polys import Poly, integrate_poly_01, legendre_coeffs
-from .ratfunc import RationalFunction, rf_normalize
+from .ratfunc import RationalFunction
 from .moments import (
     SummandSpec,
     build_summand,
@@ -53,7 +53,6 @@ __all__ = [
     "integrate_poly_01",
     "legendre_coeffs",
     "RationalFunction",
-    "rf_normalize",
     "SummandSpec",
     "build_summand",
     "envelope_constant",

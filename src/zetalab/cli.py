@@ -22,37 +22,31 @@ import mpmath
 from .cache import DecompositionCache, cache_path_from_env
 from .decomp import decompose, decomposition_report, rationality_criterion
 from .polys import Poly, legendre_coeffs
-from .moments import moment_closed_form, moment_from_coeffs
+from .moments import moment_from_coeffs
 from .serialize import poly_to_strings
 from .verify import crosscheck, eval_combination
 
 __all__ = ["main"]
 
 
-class UsageError(Exception):
-    pass
-
-
 def _parse_coeffs(text: str) -> Poly:
     try:
         coeffs = [int(x) for x in text.split(",")]
     except ValueError:
-        raise UsageError("--coeffs must be a comma-separated list of integers")
+        raise ValueError("--coeffs must be a comma-separated list of integers") from None
     p = Poly(coeffs)
     if p.is_zero:
-        raise UsageError("--coeffs describes the zero polynomial")
+        raise ValueError("--coeffs describes the zero polynomial")
     return p
 
 
 def _pick_poly(args) -> tuple[Poly, int | None]:
     if args.coeffs is not None and args.n is not None:
-        raise UsageError("give either --n or --coeffs, not both")
+        raise ValueError("give either --n or --coeffs, not both")
     if args.coeffs is not None:
         return _parse_coeffs(args.coeffs), None
     if args.n is None:
-        raise UsageError("one of --n or --coeffs is required")
-    if args.n < 0:
-        raise UsageError("n must be >= 0")
+        raise ValueError("one of --n or --coeffs is required")
     return legendre_coeffs(args.n), args.n
 
 
@@ -80,12 +74,29 @@ def _csv_writer():
     return csv.writer(sys.stdout, lineterminator="\r\n")
 
 
+def _csv_cell(x):
+    if x is None:
+        return ""
+    if isinstance(x, (dict, list)):
+        return json.dumps(x, sort_keys=True)
+    return x
+
+
+def _emit_csv(rows: list[dict]) -> None:
+    """RFC 4180 table: a header of the first row's keys, then one line per row.
+
+    None becomes an empty cell; a dict or list cell becomes its JSON text.
+    """
+    w = _csv_writer()
+    w.writerow(list(rows[0]))
+    for row in rows:
+        w.writerow([_csv_cell(x) for x in row.values()])
+
+
 # -- subcommand handlers -----------------------------------------------------
 
 
 def _cmd_poly(args) -> int:
-    if args.n is None or args.n < 0:
-        raise UsageError("n must be >= 0")
     coeffs = poly_to_strings(legendre_coeffs(args.n))
     if args.format == "csv":
         _csv_writer().writerow(coeffs)
@@ -95,28 +106,16 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_moment(args) -> int:
-    poly, n = _pick_poly(args)
-    if args.closed_form and n is None:
-        raise UsageError("--closed-form applies to --n family members only")
-    m = moment_closed_form(n) if args.closed_form else moment_from_coeffs(poly)
+    m = moment_from_coeffs(_pick_poly(args)[0])
     obj = {
         "numerator": poly_to_strings(m.num),
         "denominator": poly_to_strings(m.den),
     }
     if args.format == "csv":
-        w = _csv_writer()
-        w.writerow(["part", "coefficients"])
-        w.writerow(["numerator", json.dumps(obj["numerator"])])
-        w.writerow(["denominator", json.dumps(obj["denominator"])])
+        _emit_csv([{"part": part, "coefficients": c} for part, c in obj.items()])
     else:
         _emit_json(obj)
     return 0
-
-
-_REPORT_COLUMNS = [
-    "n", "r", "v", "zeta", "constant", "A", "B", "G", "D",
-    "div_lcm_n", "div_lcm_n1", "structure_mismatch",
-]
 
 
 def _cmd_decompose(args) -> int:
@@ -126,11 +125,7 @@ def _cmd_decompose(args) -> int:
     report = decomposition_report(poly, args.r, args.v, n=n, combo=combo)
     obj = report.to_json_dict()
     if args.format == "csv":
-        w = _csv_writer()
-        w.writerow(_REPORT_COLUMNS)
-        row = dict(obj)
-        row["zeta"] = json.dumps(obj["zeta"], sort_keys=True)
-        w.writerow(["" if row[c] is None else row[c] for c in _REPORT_COLUMNS])
+        _emit_csv([obj])
     else:
         _emit_json(obj)
     return 0
@@ -150,20 +145,13 @@ def _cmd_value(args) -> int:
         "error_bound": mpmath.nstr(hp.error_bound, 8),
     }
     if args.format == "csv":
-        w = _csv_writer()
-        w.writerow(list(obj))
-        w.writerow(["" if v is None else v for v in obj.values()])
+        _emit_csv([obj])
     else:
         _emit_json(obj)
     return 0
 
 
-_SCAN_COLUMNS = ["n", "abs_c", "lcm_pow", "lcm_scaled", "exp_scaled", "ratio_to_prev"]
-
-
 def _cmd_scan(args) -> int:
-    if args.n_max < 0:
-        raise UsageError("n-max must be >= 0")
     cache = _cache_from(args)
     decomposer = None
     if cache is not None:
@@ -179,51 +167,34 @@ def _cmd_scan(args) -> int:
     records = rationality_criterion(
         None, args.r, args.v, args.n_max, args.prec, progress, decomposer=decomposer
     )
-    digits = args.prec
 
     def fmt(x):
-        return mpmath.nstr(x, digits)
+        return None if x is None else mpmath.nstr(x, args.prec)
 
+    rows = [
+        {
+            "n": rec.n,
+            "abs_c": fmt(rec.abs_c),
+            "lcm_pow": str(rec.lcm_pow),
+            "lcm_scaled": fmt(rec.lcm_scaled),
+            "exp_scaled": fmt(rec.exp_scaled),
+            "ratio_to_prev": fmt(rec.ratio_to_prev),
+        }
+        for rec in records
+    ]
     if args.format == "json":
-        out = []
-        for rec in records:
-            out.append(
-                {
-                    "n": rec.n,
-                    "abs_c": fmt(rec.abs_c),
-                    "lcm_pow": str(rec.lcm_pow),
-                    "lcm_scaled": fmt(rec.lcm_scaled),
-                    "exp_scaled": fmt(rec.exp_scaled),
-                    "ratio_to_prev": fmt(rec.ratio_to_prev)
-                    if rec.ratio_to_prev is not None
-                    else None,
-                }
-            )
-        _emit_json(out)
+        _emit_json(rows)
     else:
-        w = _csv_writer()
-        w.writerow(_SCAN_COLUMNS)
-        for rec in records:
-            w.writerow(
-                [
-                    rec.n,
-                    fmt(rec.abs_c),
-                    str(rec.lcm_pow),
-                    fmt(rec.lcm_scaled),
-                    fmt(rec.exp_scaled),
-                    fmt(rec.ratio_to_prev) if rec.ratio_to_prev is not None else "",
-                ]
-            )
+        _emit_csv(rows)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    if args.n is None or args.n < 0:
-        raise UsageError("n must be >= 0")
     report = crosscheck(
-        args.n, args.r, args.v, precision=args.prec, samples=args.samples, seed=args.seed
+        legendre_coeffs(args.n), args.r, args.v,
+        precision=args.prec, samples=args.samples, seed=args.seed,
     )
-    _emit_json(report.to_json_dict())
+    _emit_json({"n": args.n, **report.to_json_dict()})
     return 0 if report.passed else 1
 
 
@@ -268,7 +239,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("moment", help="print the moment rational function M(s)")
     _add_poly_selection(p)
-    p.add_argument("--closed-form", action="store_true", help="use the product form (family polynomials only)")
     _add_format(p, "json")
     p.set_defaults(func=_cmd_moment)
 
@@ -294,11 +264,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_format(p, "csv")
     p.add_argument("--cache", help="JSONL cache path (default: $ZETALAB_CACHE)")
     p.add_argument(
-        "--seedless",
-        action="store_true",
-        help="marker that the scan involves no randomness (always true; kept for run scripts)",
-    )
-    p.add_argument(
         "--progress-every",
         type=int,
         default=0,
@@ -322,10 +287,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

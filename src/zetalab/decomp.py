@@ -262,8 +262,6 @@ def decomposition_report(
 
 def apery_report(n: int, r: int, v: int) -> DecompositionReport:
     """Report for the shifted-Legendre family member of degree n."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return decomposition_report(legendre_coeffs(n), r, v, n=n)
 
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .polys import Poly
 
-__all__ = ["RationalFunction", "rf_normalize"]
+__all__ = ["RationalFunction"]
 
 
 # ---------------------------------------------------------------------------
@@ -155,10 +155,6 @@ class RationalFunction:
         return num, den
 
     @classmethod
-    def from_coeffs(cls, num, den) -> "RationalFunction":
-        return cls(Poly(num), Poly(den))
-
-    @classmethod
     def constant(cls, c) -> "RationalFunction":
         return cls(Poly([c]), Poly([1]), _normalized=True)
 
@@ -263,21 +259,3 @@ class RationalFunction:
             den = den.scale(1 / lead)
         return RationalFunction(num, den, _normalized=True)
 
-
-def rf_normalize(num, den=None) -> RationalFunction:
-    """Canonical form: monic denominator, coprime parts.  Idempotent.
-
-    Accepts either (numerator, denominator) as Poly/coefficient lists, or a
-    single RationalFunction (already canonical by construction).
-    """
-    if isinstance(num, RationalFunction):
-        if den is not None:
-            raise TypeError("pass either a RationalFunction or two polynomials")
-        return num
-    if den is None:
-        raise TypeError("denominator required")
-    if not isinstance(num, Poly):
-        num = Poly(num)
-    if not isinstance(den, Poly):
-        den = Poly(den)
-    return RationalFunction(num, den)

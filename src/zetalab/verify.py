@@ -43,8 +43,8 @@ import numpy as np
 from mpmath import mpf
 
 from .decomp import ZetaCombination, decompose
-from .moments import SummandSpec, build_summand, series_partial_sum
-from .polys import Poly, legendre_coeffs
+from .moments import SummandSpec, build_summand, check_series_args, series_partial_sum
+from .polys import Poly
 from .ratfunc import RationalFunction
 
 __all__ = [
@@ -364,14 +364,7 @@ def mc_integral(
     log power makes the faces singular) are rejected and redrawn from the
     same substream; the count is reported.
     """
-    if not isinstance(poly, Poly):
-        poly = Poly(poly)
-    if poly.is_zero:
-        raise ValueError("zero polynomial")
-    if r < 2:
-        raise ValueError("need r >= 2")
-    if v < 0:
-        raise ValueError("v must be >= 0")
+    poly = check_series_args(poly, r, v)
     z = float(z)
     if z < 0:
         raise ValueError("z must be >= 0 (negative z moves poles into range)")
@@ -438,7 +431,6 @@ class CrosscheckReport:
     before its Euler-Maclaurin tail.
     """
 
-    n: int
     r: int
     v: int
     precision: int
@@ -462,7 +454,6 @@ class CrosscheckReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "n": self.n,
             "r": self.r,
             "v": self.v,
             "precision": self.precision,
@@ -478,20 +469,22 @@ class CrosscheckReport:
 
 
 def crosscheck(
-    n: int,
+    poly: Poly,
     r: int,
     v: int,
     precision: int = 30,
     samples: int = 100_000,
     seed: int = 0,
 ) -> CrosscheckReport:
-    """Compare the three paths on the degree-n family member.
+    """Compare the three paths on the r-fold, v-th log-weight integral of poly.
 
-    Pass criteria: the direct sum certified to 10**-precision, |exact -
-    direct| within the sum of the two certified bounds, and |exact - mc|
-    within 4 standard errors.
+    poly is a Poly or a coefficient list, lowest degree first; for the
+    degree-n family member pass legendre_coeffs(n).  Pass criteria: the
+    direct sum certified to 10**-precision, |exact - direct| within the
+    sum of the two certified bounds, and |exact - mc| within 4 standard
+    errors.
     """
-    poly = legendre_coeffs(n)
+    poly = check_series_args(poly, r, v)
     exact = eval_combination(decompose(poly, r, v), precision)
     target = Fraction(1, 10**precision)
     direct, direct_K = _direct_sum(build_summand(poly, r, v), target)
@@ -503,7 +496,6 @@ def crosscheck(
         d2 = abs(exact.value - mpf(mc.mean))
         ok2 = d2 <= 4 * mpf(mc.stderr)
     return CrosscheckReport(
-        n=n,
         r=r,
         v=v,
         precision=precision,

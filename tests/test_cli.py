@@ -6,9 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from zetalab import decompose, legendre_coeffs
+from zetalab import decompose, legendre_coeffs, moment_closed_form
 from zetalab.cache import DecompositionCache
 from zetalab.cli import main
+from zetalab.serialize import poly_to_strings
 
 
 def run_cli(args, **kw):
@@ -43,8 +44,8 @@ def test_moment_json(capsys):
     assert main(["moment", "--n", "1"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj == {"numerator": ["0", "-1"], "denominator": ["2", "3", "1"]}
-    assert main(["moment", "--n", "1", "--closed-form"]) == 0
-    assert json.loads(capsys.readouterr().out) == obj
+    m = moment_closed_form(1)
+    assert obj == {"numerator": poly_to_strings(m.num), "denominator": poly_to_strings(m.den)}
 
 
 def test_decompose_json(capsys):
@@ -167,9 +168,39 @@ def test_malformed_flags_exit_2():
     assert proc.returncode == 2
 
 
-def test_moment_closed_form_needs_family(capsys):
-    assert main(["moment", "--coeffs", "1,-2", "--closed-form"]) == 2
-    assert "closed-form" in capsys.readouterr().err
+# (argv, environment); "{tmp}" stands for an existing directory
+BAD_INPUT = [
+    (["poly", "--n", "-1"], {}),
+    (["moment", "--n", "-1"], {}),
+    (["decompose", "--n", "-1", "--r", "2", "--v", "0"], {}),
+    (["value", "--n", "-1", "--r", "2", "--v", "0"], {}),
+    (["verify", "--n", "-1", "--r", "2", "--v", "0"], {}),
+    (["decompose", "--n", "1", "--coeffs", "1,-2", "--r", "2", "--v", "0"], {}),
+    (["decompose", "--coeffs", "0,0", "--r", "2", "--v", "0"], {}),
+    (["decompose", "--n", "1", "--r", "1", "--v", "0"], {}),
+    (["value", "--n", "1", "--r", "2", "--v", "-1"], {}),
+    (["value", "--n", "1", "--r", "2", "--v", "0", "--prec", "5"], {}),
+    (["scan", "--r", "2", "--v", "0", "--n-max", "1", "--prec", "5"], {}),
+    (["verify", "--n", "1", "--r", "2", "--v", "0", "--prec", "5"], {}),
+    (["verify", "--n", "0", "--r", "2", "--v", "0", "--prec", "15", "--samples", "5"], {}),
+    (["scan", "--r", "2", "--v", "0", "--n-max", "-1"], {}),
+    (["decompose", "--n", "1", "--r", "2", "--v", "0", "--cache", "{tmp}"], {}),
+    (["decompose", "--n", "1", "--r", "2", "--v", "0"], {"ZETALAB_CACHE": "{tmp}"}),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,env", BAD_INPUT, ids=[" ".join(a) + "".join(f" ${k}" for k in e) for a, e in BAD_INPUT]
+)
+def test_bad_input_exits_2_without_traceback(argv, env, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("ZETALAB_CACHE", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value.format(tmp=tmp_path))
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_verify_failure_exits_1(monkeypatch, capsys):
@@ -177,8 +208,8 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
 
     true_crosscheck = cli.crosscheck
 
-    def fake_crosscheck(n, r, v, precision, samples, seed):
-        real = true_crosscheck(n, r, v, precision=precision, samples=samples, seed=seed)
+    def fake_crosscheck(poly, r, v, precision, samples, seed):
+        real = true_crosscheck(poly, r, v, precision=precision, samples=samples, seed=seed)
         return dataclasses.replace(real, exact_vs_mc_ok=False)
 
     monkeypatch.setattr(cli, "crosscheck", fake_crosscheck)
@@ -190,7 +221,7 @@ def test_verify_failure_exits_1(monkeypatch, capsys):
 
 
 def test_scan_determinism_byte_identical():
-    args = ["scan", "--r", "2", "--v", "1", "--n-max", "6", "--prec", "30", "--seedless"]
+    args = ["scan", "--r", "2", "--v", "1", "--n-max", "6", "--prec", "30"]
     a = run_cli(args)
     b = run_cli(args)
     assert a.returncode == b.returncode == 0

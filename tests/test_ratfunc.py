@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetalab import Poly, RationalFunction, build_summand, rf_normalize
+from zetalab import Poly, RationalFunction, build_summand
 from zetalab.decomp import _principal_parts
 from zetalab.ratfunc import _int_poly_gcd
 
@@ -15,16 +15,18 @@ def linear(m):
 
 def test_normalize_examples():
     # (2s+2)/(2s^2+2s) -> 1/s
-    assert rf_normalize([2, 2], [0, 2, 2]) == RationalFunction(Poly([1]), Poly([0, 1]))
+    assert RationalFunction(Poly([2, 2]), Poly([0, 2, 2])) == RationalFunction(Poly([1]), Poly([0, 1]))
     # s/s -> 1
-    assert rf_normalize([0, 1], [0, 1]) == RationalFunction.constant(1)
+    assert RationalFunction(Poly([0, 1]), Poly([0, 1])) == RationalFunction.constant(1)
     # (s^2-1)/(s^2+3s+2) -> (s-1)/(s+2)
-    assert rf_normalize([-1, 0, 1], [2, 3, 1]) == RationalFunction(Poly([-1, 1]), Poly([2, 1]))
+    assert RationalFunction(Poly([-1, 0, 1]), Poly([2, 3, 1])) == RationalFunction(
+        Poly([-1, 1]), Poly([2, 1])
+    )
 
 
 def test_normalize_idempotent():
-    f = rf_normalize([2, 2], [0, 2, 2])
-    assert rf_normalize(f.num, f.den) == f
+    f = RationalFunction(Poly([2, 2]), Poly([0, 2, 2]))
+    assert RationalFunction(f.num, f.den) == f
 
 
 def test_zero_denominator_rejected():

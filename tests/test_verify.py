@@ -292,14 +292,14 @@ def test_mc_validation():
 
 @pytest.mark.parametrize("n,r,v", [(0, 3, 2), (1, 2, 1), (2, 3, 0)])
 def test_crosscheck_cases_pass(n, r, v):
-    rep = crosscheck(n, r, v, precision=30, samples=10**5, seed=42)
+    rep = crosscheck(legendre_coeffs(n), r, v, precision=30, samples=10**5, seed=42)
     assert rep.exact_vs_direct_ok
     assert rep.exact_vs_mc_ok
     assert rep.passed
 
 
 def test_crosscheck_report_payload():
-    rep = crosscheck(0, 2, 1, precision=20, samples=10**4, seed=5)
+    rep = crosscheck(legendre_coeffs(0), 2, 1, precision=20, samples=10**4, seed=5)
     obj = rep.to_json_dict()
     assert obj["mc"]["seed"] == 5
     assert obj["mc"]["samples"] == 10**4
