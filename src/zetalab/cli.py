@@ -5,9 +5,9 @@ machine-parseable CSV or JSON only; diagnostics and progress go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
 
 Desk-scale defaults: 30 digits of precision, 10**5 Monte Carlo samples.
-The decomposition cache path comes from --cache or the ZETALAB_CACHE
-environment variable; the cache stores exact rationals, so cached and
-fresh results compare equal exactly.
+decompose, value and scan read through a decomposition cache when --cache
+or the ZETALAB_CACHE environment variable names its directory; the cache
+stores exact rationals, so cached and fresh results compare equal exactly.
 """
 
 from __future__ import annotations
@@ -15,11 +15,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 
 import mpmath
 
-from .cache import DecompositionCache, cache_path_from_env
+from .cache import DecompositionCache
 from .decomp import decompose, decomposition_report, rationality_criterion
 from .polys import Poly, legendre_coeffs
 from .moments import moment_from_coeffs
@@ -50,20 +51,10 @@ def _pick_poly(args) -> tuple[Poly, int | None]:
     return legendre_coeffs(args.n), args.n
 
 
-def _cache_from(args) -> DecompositionCache | None:
-    path = args.cache if args.cache is not None else cache_path_from_env()
-    return DecompositionCache(path) if path else None
-
-
-def _cached_decompose(poly: Poly, r: int, v: int, cache: DecompositionCache | None):
-    if cache is not None:
-        hit = cache.get(poly, r, v)
-        if hit is not None:
-            return hit
-    combo = decompose(poly, r, v)
-    if cache is not None:
-        cache.put(poly, r, v, combo)
-    return combo
+def _decomposer(args):
+    """`decompose`, read through the cache at --cache or $ZETALAB_CACHE if one is named."""
+    path = args.cache if args.cache is not None else os.environ.get("ZETALAB_CACHE")
+    return DecompositionCache(path).decompose if path else decompose
 
 
 def _emit_json(obj) -> None:
@@ -120,8 +111,7 @@ def _cmd_moment(args) -> int:
 
 def _cmd_decompose(args) -> int:
     poly, n = _pick_poly(args)
-    cache = _cache_from(args)
-    combo = _cached_decompose(poly, args.r, args.v, cache)
+    combo = _decomposer(args)(poly, args.r, args.v)
     report = decomposition_report(poly, args.r, args.v, n=n, combo=combo)
     obj = report.to_json_dict()
     if args.format == "csv":
@@ -133,8 +123,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_value(args) -> int:
     poly, n = _pick_poly(args)
-    cache = _cache_from(args)
-    combo = _cached_decompose(poly, args.r, args.v, cache)
+    combo = _decomposer(args)(poly, args.r, args.v)
     hp = eval_combination(combo, args.prec)
     obj = {
         "n": n,
@@ -152,12 +141,8 @@ def _cmd_value(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    cache = _cache_from(args)
-    decomposer = None
-    if cache is not None:
-        def decomposer(poly, r, v):
-            return _cached_decompose(poly, r, v, cache)
-
+    if args.progress_every < 0:
+        raise ValueError("--progress-every must be >= 0")
     progress = None
     if args.progress_every:
         def progress(n, every=args.progress_every, top=args.n_max):
@@ -165,7 +150,7 @@ def _cmd_scan(args) -> int:
                 print(f"scan: n={n}/{top} done", file=sys.stderr)
 
     records = rationality_criterion(
-        None, args.r, args.v, args.n_max, args.prec, progress, decomposer=decomposer
+        None, args.r, args.v, args.n_max, args.prec, progress, decomposer=_decomposer(args)
     )
 
     def fmt(x):
@@ -246,7 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_poly_selection(p)
     _add_rv(p)
     _add_format(p, "json")
-    p.add_argument("--cache", help="JSONL cache path (default: $ZETALAB_CACHE)")
+    p.add_argument("--cache", help="cache directory (default: $ZETALAB_CACHE)")
     p.set_defaults(func=_cmd_decompose)
 
     p = sub.add_parser("value", help="high-precision numeric value of the decomposition")
@@ -254,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_rv(p)
     p.add_argument("--prec", type=int, default=30, help="decimal digits (default 30)")
     _add_format(p, "json")
-    p.add_argument("--cache", help="JSONL cache path (default: $ZETALAB_CACHE)")
+    p.add_argument("--cache", help="cache directory (default: $ZETALAB_CACHE)")
     p.set_defaults(func=_cmd_value)
 
     p = sub.add_parser("scan", help="criterion-quantity table over n = 0..n_max")
@@ -262,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--prec", type=int, default=30, help="decimal digits (default 30)")
     _add_format(p, "csv")
-    p.add_argument("--cache", help="JSONL cache path (default: $ZETALAB_CACHE)")
+    p.add_argument("--cache", help="cache directory (default: $ZETALAB_CACHE)")
     p.add_argument(
         "--progress-every",
         type=int,

@@ -1,4 +1,8 @@
+import os
+import stat
 from pathlib import Path
+
+import pytest
 
 from zetalab import decompose, legendre_coeffs
 from zetalab.cache import DecompositionCache
@@ -25,24 +29,73 @@ def test_cache_keys_distinguish_r_v_and_coeffs(tmp_path: Path):
 
 
 def test_cache_last_entry_wins(tmp_path: Path):
-    path = tmp_path / "c.jsonl"
+    path = tmp_path / "c"
     cache = DecompositionCache(path)
     poly = legendre_coeffs(1)
-    combo = decompose(poly, 2, 0)
+    combo, other = decompose(poly, 2, 0), decompose(poly, 2, 1)
+    cache.put(poly, 2, 0, other)
     cache.put(poly, 2, 0, combo)
-    cache.put(poly, 2, 0, combo)
-    assert len(path.read_text().splitlines()) == 2
+    assert [f.suffix for f in path.iterdir()] == [".json"]
     assert DecompositionCache(path).get(poly, 2, 0) == combo
 
 
 def test_cache_skips_and_drops_lines_of_the_wrong_shape(tmp_path: Path, capsys):
-    path = tmp_path / "c.jsonl"
+    path = tmp_path / "c"
     poly = legendre_coeffs(2)
-    DecompositionCache(path).put(poly, 2, 1, decompose(poly, 2, 1))
-    good = path.read_text()
+    fresh = decompose(poly, 2, 1)
+    DecompositionCache(path).put(poly, 2, 1, fresh)
+    (entry,) = path.iterdir()
+    good = entry.read_text()
     bad = ['{}', '[1]', '{"key": 1}', '{"key": 1, "combo": {"zeta": [], "constant": "1"}}',
            '{"key": 1, "combo": {"zeta": {}, "constant": "1/0"}}']
-    path.write_text("\n".join(bad) + "\n" + good)
-    assert DecompositionCache(path).get(poly, 2, 1) == decompose(poly, 2, 1)
-    assert capsys.readouterr().err.count("skipping unparsable cache line") == len(bad)
-    assert path.read_text() == good
+    for payload in bad:
+        entry.write_text(payload + "\n")
+        assert DecompositionCache(path).get(poly, 2, 1) is None
+        assert capsys.readouterr().err.count("skipping unparsable cache entry") == 1
+        # the read-through warns once more, recomputes the entry and
+        # replaces the bad file with it
+        assert DecompositionCache(path).decompose(poly, 2, 1) == fresh
+        assert capsys.readouterr().err.count("skipping unparsable cache entry") == 1
+        assert entry.read_text() == good
+        assert DecompositionCache(path).get(poly, 2, 1) == fresh
+        assert capsys.readouterr().err == ""
+
+
+def test_cache_key_mismatch_is_a_silent_miss(tmp_path: Path, capsys):
+    # an entry file that parses but holds another key, as a checksum
+    # collision would, is not served
+    path = tmp_path / "c"
+    p1, p2 = legendre_coeffs(1), legendre_coeffs(2)
+    DecompositionCache(path).put(p2, 2, 0, decompose(p2, 2, 0))
+    (entry,) = path.iterdir()
+    DecompositionCache(path).put(p1, 2, 0, decompose(p1, 2, 0))
+    (other,) = set(path.iterdir()) - {entry}
+    other.write_bytes(entry.read_bytes())
+    assert DecompositionCache(path).get(p1, 2, 0) is None
+    assert capsys.readouterr().err == ""
+
+
+def test_cache_interrupted_write_leaves_no_file(tmp_path: Path, monkeypatch):
+    import zetalab.cache as cache_mod
+
+    def fail(src, dst):
+        raise OSError("interrupted")
+
+    path = tmp_path / "c"
+    poly = legendre_coeffs(2)
+    monkeypatch.setattr(cache_mod.os, "replace", fail)
+    with pytest.raises(OSError, match="interrupted"):
+        DecompositionCache(path).put(poly, 2, 1, decompose(poly, 2, 1))
+    assert list(path.iterdir()) == []
+    assert DecompositionCache(path).get(poly, 2, 1) is None
+
+
+def test_cache_entry_mode_follows_umask(tmp_path: Path):
+    poly = legendre_coeffs(1)
+    old = os.umask(0o022)
+    try:
+        DecompositionCache(tmp_path / "c").put(poly, 2, 0, decompose(poly, 2, 0))
+    finally:
+        os.umask(old)
+    (entry,) = (tmp_path / "c").iterdir()
+    assert stat.S_IMODE(entry.stat().st_mode) == 0o644

@@ -168,7 +168,7 @@ def test_malformed_flags_exit_2():
     assert proc.returncode == 2
 
 
-# (argv, environment); "{tmp}" stands for an existing directory
+# (argv, environment); "{tmp}" stands for an existing regular file
 BAD_INPUT = [
     (["poly", "--n", "-1"], {}),
     (["moment", "--n", "-1"], {}),
@@ -184,6 +184,7 @@ BAD_INPUT = [
     (["verify", "--n", "1", "--r", "2", "--v", "0", "--prec", "5"], {}),
     (["verify", "--n", "0", "--r", "2", "--v", "0", "--prec", "15", "--samples", "5"], {}),
     (["scan", "--r", "2", "--v", "0", "--n-max", "-1"], {}),
+    (["scan", "--r", "2", "--v", "0", "--n-max", "1", "--progress-every", "-2"], {}),
     (["decompose", "--n", "1", "--r", "2", "--v", "0", "--cache", "{tmp}"], {}),
     (["decompose", "--n", "1", "--r", "2", "--v", "0"], {"ZETALAB_CACHE": "{tmp}"}),
 ]
@@ -194,9 +195,11 @@ BAD_INPUT = [
 )
 def test_bad_input_exits_2_without_traceback(argv, env, tmp_path, monkeypatch, capsys):
     monkeypatch.delenv("ZETALAB_CACHE", raising=False)
+    tmp = tmp_path / "file"
+    tmp.write_text("")
     for name, value in env.items():
-        monkeypatch.setenv(name, value.format(tmp=tmp_path))
-    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+        monkeypatch.setenv(name, value.format(tmp=tmp))
+    assert main([a.format(tmp=tmp) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ")
     assert "Traceback" not in captured.err
@@ -240,40 +243,66 @@ def test_verify_determinism_byte_identical():
 
 
 def test_cache_roundtrip_exact(tmp_path: Path, capsys):
-    cache = tmp_path / "cache.jsonl"
+    cache = tmp_path / "cache"
     args = ["decompose", "--n", "3", "--r", "3", "--v", "2", "--cache", str(cache)]
     assert main(args) == 0
     fresh = capsys.readouterr().out
-    assert cache.exists() and cache.read_text().count("\n") == 1
+    assert len(list(cache.iterdir())) == 1
     # second run hits the cache; output must be byte-identical to fresh
     assert main(args) == 0
     cached = capsys.readouterr().out
     assert cached == fresh
-    assert cache.read_text().count("\n") == 1  # no duplicate append
+    assert len(list(cache.iterdir())) == 1  # no second entry
 
 
 def test_cache_survives_a_torn_line(tmp_path: Path, capsys):
-    cache = tmp_path / "cache.jsonl"
+    cache = tmp_path / "cache"
     first = ["decompose", "--n", "2", "--r", "2", "--v", "0", "--cache", str(cache)]
     second = ["decompose", "--n", "3", "--r", "3", "--v", "2", "--cache", str(cache)]
-    assert main(first) == 0 and main(second) == 0
+    assert main(first) == 0
+    (kept,) = cache.iterdir()
+    assert main(second) == 0
     expected = capsys.readouterr().out.splitlines(keepends=True)[1]
-    # cut the second entry short, as a crash mid-append would
-    cache.write_text(cache.read_text()[:-20])
+    (entry,) = set(cache.iterdir()) - {kept}
+    # cut the second entry short, as a power loss before it reached the disk could
+    entry.write_bytes(entry.read_bytes()[:-20])
     assert main(second) == 0
     out = capsys.readouterr()
     assert out.out == expected
-    assert "warning" in out.err and "line 2" in out.err
-    # the torn line is gone and the recomputed entry took its place, so
-    # the next run reads the file without a warning
-    lines = cache.read_text().splitlines()
-    assert len(lines) == 2 and all(json.loads(line) for line in lines)
+    assert out.err.count("warning") == 1 and entry.name in out.err
+    # the recomputed entry replaced the torn one, so the next run reads it
+    # without a warning
+    files = list(cache.iterdir())
+    assert len(files) == 2 and all(json.loads(f.read_text()) for f in files)
     assert main(second) == 0
     out = capsys.readouterr()
     assert out.out == expected and out.err == ""
     reread = DecompositionCache(cache)
     for n, r, v in ((2, 2, 0), (3, 3, 2)):
         assert reread.get(legendre_coeffs(n), r, v) == decompose(legendre_coeffs(n), r, v)
+
+
+def test_cache_rewrites_an_entry_that_is_not_utf8(tmp_path: Path, capsys):
+    cache = tmp_path / "cache"
+    args = ["decompose", "--n", "3", "--r", "3", "--v", "2", "--cache", str(cache)]
+    assert main(args) == 0
+    expected = capsys.readouterr().out
+    (entry,) = cache.iterdir()
+    entry.write_bytes(b"\xff\xfe garbage")
+    assert main(args) == 0
+    out = capsys.readouterr()
+    assert out.out == expected
+    assert out.err.count("\n") == 1 and out.err.startswith("warning: ")
+    assert main(args) == 0
+    out = capsys.readouterr()
+    assert out.out == expected and out.err == ""
+    assert list(cache.iterdir()) == [entry]
+
+
+def test_cli_imports_no_lock_or_hash_module():
+    code = "import sys, zetalab.cli; print(sorted({'fcntl', 'hashlib'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
 
 
 def test_cache_value_consistency(tmp_path: Path, capsys):
@@ -295,13 +324,13 @@ def test_cache_env_var(tmp_path: Path, monkeypatch, capsys):
 
 
 def test_scan_uses_cache(tmp_path: Path, capsys):
-    cache = tmp_path / "scan.jsonl"
+    cache = tmp_path / "scan"
     assert main(["scan", "--r", "2", "--v", "1", "--n-max", "3", "--prec", "15",
                  "--cache", str(cache)]) == 0
     out1 = capsys.readouterr().out
-    assert len(cache.read_text().splitlines()) == 4
+    assert len(list(cache.iterdir())) == 4
     assert main(["scan", "--r", "2", "--v", "1", "--n-max", "3", "--prec", "15",
                  "--cache", str(cache)]) == 0
     out2 = capsys.readouterr().out
     assert out1 == out2
-    assert len(cache.read_text().splitlines()) == 4
+    assert len(list(cache.iterdir())) == 4
