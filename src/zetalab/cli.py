@@ -175,11 +175,11 @@ def _cmd_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    poly, n = _pick_poly(args)
     report = crosscheck(
-        legendre_coeffs(args.n), args.r, args.v,
-        precision=args.prec, samples=args.samples, seed=args.seed,
+        poly, args.r, args.v, precision=args.prec, samples=args.samples, seed=args.seed
     )
-    _emit_json({"n": args.n, **report.to_json_dict()})
+    _emit_json({"n": n, **report.to_json_dict()})
     return 0 if report.passed else 1
 
 
@@ -257,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("verify", help="three-path crosscheck; exit 0 on pass, 1 on fail")
-    p.add_argument("--n", type=int, required=True)
+    _add_poly_selection(p)
     _add_rv(p)
     p.add_argument("--prec", type=int, default=30)
     p.add_argument("--samples", type=int, default=100_000)

@@ -12,6 +12,12 @@ at each pole s = -m follows from the local Laurent expansion of M there
   least like s**-2), so their individually divergent pieces telescope to
   the exact rational  -sum_m b_m * H_{m-1}.
 
+Both steps run in integers, with one Fraction normalization per output
+number instead of a gcd per operation: the principal parts are numerators
+over one common denominator (A * lcm(1..mu-1)**(r-1))**r, with A the
+common denominator of the polynomial and mu = deg + 1, and the harmonic
+sums H_m^(j) are running integer sums over lcm(1..mu-1)**j.
+
 The combination reported is c_v = (-1)**v * sum_k G(k): expanding the
 series over k of M(z+k)**r around z = 0 as sum_v c_v (-z)**v / v! forces
 the (-1)**v, and the choice makes c_1 for (r=2, n=0) equal +2*zeta(3),
@@ -25,12 +31,13 @@ happen at the report boundary.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping
 
 from .moments import check_series_args
-from .numtheory import generalized_harmonic, harmonic, lcm_upto
+from .numtheory import lcm_upto
 from .polys import Poly, legendre_coeffs
 from .serialize import format_fraction, parse_fraction
 
@@ -102,59 +109,94 @@ class ZetaCombination:
         return cls.make(zeta, parse_fraction(data["constant"]))
 
 
-def _principal_parts(poly: Poly, r: int, v: int) -> dict[tuple[int, int], Fraction]:
-    """Nonzero partial-fraction coefficients {(m, j): c} of G = d^v/ds^v [M**r].
+def _principal_numerators(poly: Poly, r: int, v: int) -> tuple[dict[tuple[int, int], int], int]:
+    """({(m, j): C}, D) with G = d^v/ds^v [M**r] = sum (C/D) / (s+m)**j.
 
-    G = sum c / (s+m)**j exactly (G is proper).  Near the pole s = -m of
-    M = sum_l a_l/(s+l+1), with t = s + m, t*M = u(t) = a_{m-1} +
-    sum_{i>=0} b_i t**(i+1) where b_i = sum_{l != m-1} a_l (-1)**i /
-    (l+1-m)**(i+1).  The principal part of M**r there is u**r mod t**r,
-    and v derivatives map c/t**j to c (-1)**v (j)_v / t**(j+v).
+    Near the pole s = -m of M = sum_l a_l/(s+l+1), with t = s + m,
+    t*M = u(t) = a_{m-1} + sum_{i>=1} u_i t**i where u_i = sum_{p != m}
+    a_{p-1} (-1)**(i-1) / (p-m)**i.  The principal part of M**r there is
+    u**r mod t**r, and v derivatives map c/t**j to c (-1)**v (j)_v / t**(j+v).
+
+    All of it runs in integers: A clears the denominators of the a's, and
+    with L = lcm(1..mu-1) (mu = deg + 1, the farthest pole) and
+    S = L**(r-1), every S/|p-m|**i is an integer, so U = A*S*u has integer
+    coefficients.  U**r mod t**r then holds the numerators over the one
+    denominator D = (A*S)**r.  Only nonzero C are kept.
     """
-    support = [(l + 1, a) for l, a in enumerate(poly.coeffs) if a != 0]
+    A = math.lcm(*(a.denominator for a in poly.coeffs))
+    # alpha[p] = A * a_{p-1}, the residue of A*M at s = -p
+    alpha = [0] + [a.numerator * (A // a.denominator) for a in poly.coeffs]
+    mu = len(poly.coeffs)
+    L = lcm_upto(mu - 1)
+    S = L ** (r - 1)
+    # inverse_powers[i-1][q-1] = S // q**i for 1 <= i < r, 1 <= q < mu
+    inverse_powers = [[S // q**i for q in range(1, mu)] for i in range(1, r)]
     sign = -1 if v % 2 else 1
-    parts: dict[tuple[int, int], Fraction] = {}
-    for m, a_m in support:
-        u = [a_m] + [Fraction(0)] * (r - 1)
-        for p, a in support:
-            if p != m:
-                inv = Fraction(1, p - m)
-                b = a * inv
-                for i in range(1, r):
-                    u[i] += b
-                    b *= -inv
-        ur = [Fraction(1)] + [Fraction(0)] * (r - 1)
+    numerators: dict[tuple[int, int], int] = {}
+    for m in range(1, mu + 1):
+        if not alpha[m]:
+            continue
+        below = alpha[m - 1:0:-1]  # alpha[p] for p = m-1, ..., 1, at q = m - p
+        above = alpha[m + 1:]  # alpha[p] for p = m+1, ..., mu, at q = p - m
+        u = [alpha[m] * S]
+        for i, row in enumerate(inverse_powers, 1):
+            left = sum(map(operator.mul, below, row))
+            right = sum(map(operator.mul, above, row))
+            # (-1)**(i-1) (p-m)**-i is (-1)**(i-1) q**-i above the pole, -q**-i below
+            u.append((right if i % 2 else -right) - left)
+        ur = [1] + [0] * (r - 1)
         for _ in range(r):
             ur = [sum(ur[i] * u[k - i] for i in range(k + 1)) for k in range(r)]
         for k, c in enumerate(ur):
             if c:
                 j = r - k
-                parts[(m, j + v)] = sign * math.prod(range(j, j + v)) * c
-    return parts
+                numerators[(m, j + v)] = sign * math.prod(range(j, j + v)) * c
+    return numerators, (A * S) ** r
+
+
+def _principal_parts(poly: Poly, r: int, v: int) -> dict[tuple[int, int], Fraction]:
+    """Nonzero partial-fraction coefficients {(m, j): c} of G = d^v/ds^v [M**r].
+
+    G = sum c / (s+m)**j exactly (G is proper); see _principal_numerators.
+    """
+    numerators, denominator = _principal_numerators(poly, r, v)
+    return {key: Fraction(c, denominator) for key, c in numerators.items()}
 
 
 def decompose(poly: Poly, r: int, v: int) -> ZetaCombination:
     """Exact zeta-combination equal to (-1)**v * sum_{k>=0} G(k)."""
     poly = check_series_args(poly, r, v)
-    parts = _principal_parts(poly, r, v)
-    residues = sum((c for (_, j), c in parts.items() if j == 1), Fraction(0))
+    numerators, denominator = _principal_numerators(poly, r, v)
+    residues = sum(c for (_, j), c in numerators.items() if j == 1)
     if residues != 0:
         # decay >= 2 forces the order-1 coefficients to cancel; if they do
         # not, the arithmetic upstream is broken, so abort loudly
         raise RuntimeError(
-            f"internal invariant violation: order-1 residues sum to {residues}, not 0"
+            "internal invariant violation: order-1 residues sum to "
+            f"{Fraction(residues, denominator)}, not 0"
         )
+    # C/(s+m)**j sums to C zeta(j) - C H_{m-1}^(j), where the harmonic sum
+    # H_m^(j) = sum_{t<=m} t**-j is harmonic[j][m] / L**j, L = lcm(1..mu-1),
+    # kept as integer running sums up to m = mu - 1
+    mu = len(poly.coeffs)
+    L = lcm_upto(mu - 1)
+    top = r + v
+    harmonic: dict[int, list[int]] = {}
+    for j in range(1, top + 1):
+        sums = [0]
+        for t in range(1, mu):
+            sums.append(sums[-1] + (L // t) ** j)
+        harmonic[j] = sums
+    zeta = dict.fromkeys(range(2, top + 1), 0)
+    constant = 0  # over denominator * L**top
+    for (m, j), c in numerators.items():
+        if j > 1:
+            zeta[j] += c
+        constant -= c * harmonic[j][m - 1] * L ** (top - j)
     sign = -1 if v % 2 else 1
-    zeta: dict[int, Fraction] = {}
-    constant = Fraction(0)
-    for (m, j), c in parts.items():
-        if j == 1:
-            constant -= c * harmonic(m - 1)
-        else:
-            zeta[j] = zeta.get(j, Fraction(0)) + c
-            constant -= c * generalized_harmonic(m - 1, j)
     return ZetaCombination.make(
-        {j: sign * q for j, q in zeta.items()}, sign * constant
+        {j: Fraction(sign * q, denominator) for j, q in zeta.items()},
+        Fraction(sign * constant, denominator * L**top),
     )
 
 

@@ -12,11 +12,15 @@ Three independent evaluation paths cross-check each other:
    integrable singularities (log powers at the faces, the simple pole at
    the corner of the cube) keep the variance finite at desk scale, at the
    cost of the usual 1/sqrt(N) convergence.  No importance sampling: the
-   oracle stays simple enough to trust.
+   oracle stays simple enough to trust.  R is evaluated in float64 from
+   its coefficients in the Chebyshev basis shifted to [0, 1], converted
+   exactly once, by Clenshaw's recurrence: the monomial coefficients of
+   P_n grow like C(n,k) C(n+k,k) and cancel catastrophically.
 
 Zeta values use the alternating-series acceleration with Chebyshev-derived
-integer weights d_k (Borwein's method): the partial sum is computed in
-exact rational arithmetic, and the truncation error is provably below
+integer weights d_k (Borwein's method), built by an exact integer
+recurrence.  The partial sum is one integer numerator over lcm(1..n)**j,
+normalized once, and the truncation error is provably below
 3 / ((3+sqrt(8))**n * |1 - 2**(1-j)|), so every returned value carries a
 certified absolute error bound.
 
@@ -44,6 +48,7 @@ from mpmath import mpf
 
 from .decomp import ZetaCombination, decompose
 from .moments import SummandSpec, build_summand, check_series_args, series_partial_sum
+from .numtheory import lcm_upto
 from .polys import Poly
 from .ratfunc import RationalFunction
 
@@ -90,37 +95,42 @@ _zeta_cache: dict[tuple[int, int], HighPrecisionValue] = {}
 
 
 def _chebyshev_weights(n: int) -> list[int]:
-    """Integer weights d_0..d_n of the accelerated alternating series."""
-    t = Fraction(1, n)
-    acc = t
-    out = [1]  # d_0 = n * t_0 = 1
+    """Integer weights d_0..d_n of the accelerated alternating series.
+
+    d_i = sum_{k<=i} a_k with a_0 = 1 and the integer recurrence
+    a_{k+1} = a_k * 4 (n+k)(n-k) / ((2k+1)(2k+2)); every division is exact.
+    """
+    a = 1
+    out = [1]  # d_0 = a_0
     for i in range(n):
-        t = t * 4 * (n + i) * (n - i) / ((2 * i + 1) * (2 * i + 2))
-        acc += t
-        d = acc * n
-        if d.denominator != 1:
+        a, rem = divmod(a * 4 * (n + i) * (n - i), (2 * i + 1) * (2 * i + 2))
+        if rem:
             raise RuntimeError(
-                f"internal invariant violation: weight d_{i + 1} = {d} is not an integer"
+                f"internal invariant violation: weight d_{i + 1} is not an integer"
             )
-        out.append(d.numerator)
+        out.append(out[-1] + a)
     return out
 
 
 def _zeta_rational(j: int, digits: int) -> tuple[Fraction, Fraction]:
     """(rational approximation of zeta(j), certified truncation bound).
 
+    The alternating sum sum_k (-1)**k (d_k - d_n) / (k+1)**j is one integer
+    numerator over L = lcm(1..n)**j, normalized once at the end.
     Truncation after n weights is below 3/((3+sqrt 8)**n (1-2**(1-j)));
     3 + sqrt(8) > 5828/1000 gives a rational upper bound on the error.
     """
     n = int((digits * math.log(10) + math.log(6)) / math.log(3 + math.sqrt(8))) + 3
     d = _chebyshev_weights(n)
     dn = d[n]
-    s = Fraction(0)
+    lcm = lcm_upto(n)
+    total = 0
     for k in range(n):
-        term = Fraction(d[k] - dn, (k + 1) ** j)
-        s += term if k % 2 == 0 else -term
+        term = (d[k] - dn) * (lcm // (k + 1)) ** j
+        total += -term if k % 2 else term
     pref = Fraction(2 ** (j - 1), 2 ** (j - 1) - 1)
-    value = -s * pref / dn
+    # zeta(j) ~ -(total / lcm**j) * pref / dn, normalized once
+    value = Fraction(-total * 2 ** (j - 1), lcm**j * (2 ** (j - 1) - 1) * dn)
     bound = 3 * Fraction(1000, 5828) ** n * pref
     return value, bound
 
@@ -347,6 +357,41 @@ def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _shifted_chebyshev(poly: Poly) -> np.ndarray:
+    """c_0..c_n with poly(x) = sum_k c_k T_k(2x - 1), converted exactly, then rounded.
+
+    Horner's rule in the shifted basis: multiplying by x = (1 + T_1(2x-1))/2
+    maps T_0 to (T_0 + T_1)/2 and T_k to T_k/2 + (T_{k-1} + T_{k+1})/4.
+    """
+    c: list[Fraction] = []
+    for a in reversed(poly.coeffs):
+        shifted = [Fraction(0)] * (len(c) + 1)
+        for k, ck in enumerate(c):
+            shifted[k] += ck / 2
+            if k:
+                shifted[k - 1] += ck / 4
+                shifted[k + 1] += ck / 4
+            else:
+                shifted[1] += ck / 2
+        shifted[0] += a
+        c = shifted
+    return np.array([float(ck) for ck in c], dtype=np.float64)
+
+
+def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """sum_k c_k T_k(2x - 1) at every entry of x, by Clenshaw's recurrence.
+
+    The rounding error is about eps * sum |c_k|, which stays O(1) for
+    polynomials such as P_n whose monomial coefficients are huge and cancel.
+    """
+    y = 2.0 * x - 1.0
+    b1 = np.zeros_like(y)
+    b2 = np.zeros_like(y)
+    for ck in c[:0:-1]:
+        b1, b2 = ck + 2.0 * y * b1 - b2, b1
+    return c[0] + y * b1 - b2
+
+
 def mc_integral(
     poly: Poly,
     r: int,
@@ -370,7 +415,7 @@ def mc_integral(
         raise ValueError("z must be >= 0 (negative z moves poles into range)")
     if samples < 10**4:
         raise ValueError("samples must be >= 10**4")
-    coeffs = np.array([float(c) for c in poly.coeffs], dtype=np.float64)
+    cheb = _shifted_chebyshev(poly)
     reject_faces = v >= 1
     sums: list[float] = []
     sqs: list[float] = []
@@ -400,7 +445,8 @@ def mc_integral(
                 weight = weight * (-np.log(prod)) ** v
             if z > 0:
                 weight = weight * prod**z
-        fx = weight * np.polynomial.polynomial.polyval(u.T, coeffs).prod(axis=0)
+        # one fold at a time keeps the temporaries at one column's size
+        fx = weight * math.prod(_clenshaw(cheb, column) for column in u.T)
         sums.append(float(np.sum(fx)))
         sqs.append(float(np.sum(fx * fx)))
         done += m

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from zetalab import decompose, legendre_coeffs, moment_closed_form
+from zetalab import Poly, crosscheck, decompose, legendre_coeffs, moment_closed_form
 from zetalab.cache import DecompositionCache
 from zetalab.cli import main
 from zetalab.serialize import poly_to_strings
@@ -161,6 +162,30 @@ def test_verify_same_stdout_under_python_O():
     assert optimized.stdout == plain.stdout
 
 
+def test_verify_coeffs_on_a_non_legendre_polynomial(capsys):
+    args = ["--r", "2", "--v", "1", "--prec", "30", "--samples", "10000", "--seed", "5"]
+    assert main(["verify", "--coeffs=3,-1,2", *args]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["n"] is None and obj["passed"] is True
+    report = crosscheck(Poly([3, -1, 2]), 2, 1, precision=30, samples=10000, seed=5)
+    assert obj == {"n": None, **report.to_json_dict()}
+    # P_1 = 1 - 2x given by its coefficients reports what --n 1 does, bar "n"
+    assert main(["verify", "--coeffs", "1,-2", *args]) == 0
+    by_coeffs = json.loads(capsys.readouterr().out)
+    assert main(["verify", "--n", "1", *args]) == 0
+    by_n = json.loads(capsys.readouterr().out)
+    assert by_coeffs == {**by_n, "n": None}
+
+
+def test_verify_passes_at_n_40():
+    # the Monte Carlo oracle evaluates R in the shifted Chebyshev basis;
+    # from monomial coefficients its mean at n = 30 was off by ~1e7
+    proc = run_cli(["verify", "--n", "40", "--r", "2", "--v", "1"])
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    obj = json.loads(proc.stdout)
+    assert obj["exact_vs_mc_ok"] is True and obj["passed"] is True
+
+
 def test_malformed_flags_exit_2():
     proc = run_cli(["decompose", "--n", "0", "--r"])
     assert proc.returncode == 2
@@ -183,6 +208,8 @@ BAD_INPUT = [
     (["scan", "--r", "2", "--v", "0", "--n-max", "1", "--prec", "5"], {}),
     (["verify", "--n", "1", "--r", "2", "--v", "0", "--prec", "5"], {}),
     (["verify", "--n", "0", "--r", "2", "--v", "0", "--prec", "15", "--samples", "5"], {}),
+    (["verify", "--n", "1", "--coeffs", "1,-2", "--r", "2", "--v", "0"], {}),
+    (["verify", "--coeffs", "0,0", "--r", "2", "--v", "0"], {}),
     (["scan", "--r", "2", "--v", "0", "--n-max", "-1"], {}),
     (["scan", "--r", "2", "--v", "0", "--n-max", "1", "--progress-every", "-2"], {}),
     (["decompose", "--n", "1", "--r", "2", "--v", "0", "--cache", "{tmp}"], {}),
@@ -229,6 +256,21 @@ def test_scan_determinism_byte_identical():
     b = run_cli(args)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+# SHA-256 of scan's stdout at n_max = 40, past the benchmark's n_max of 15
+# and 20; recorded with the Fraction kernels, before the integer ones
+SCAN_STDOUT_SHA256 = {
+    ("2", "1"): "d2ba79139f44bb019455abf136dc3898a6768a73a84c6a4ff3a9a98c6b942f1b",
+    ("3", "2"): "b084cbb354185ce09b310e701f51708f353ddafa2f8a8f1a420b252454ded7e1",
+}
+
+
+@pytest.mark.parametrize("r,v", sorted(SCAN_STDOUT_SHA256))
+def test_scan_stdout_pinned_at_n_max_40(r, v, capsys):
+    assert main(["scan", "--r", r, "--v", v, "--n-max", "40", "--prec", "50"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SCAN_STDOUT_SHA256[(r, v)]
 
 
 def test_verify_determinism_byte_identical():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,7 +21,7 @@ from zetalab import (
     tail_bound,
     zeta_value,
 )
-from zetalab.verify import _direct_sum, _euler_maclaurin_sum
+from zetalab.verify import _clenshaw, _direct_sum, _euler_maclaurin_sum, _shifted_chebyshev
 
 
 # -- zeta values ---------------------------------------------------------------
@@ -285,6 +286,32 @@ def test_mc_validation():
         mc_integral(legendre_coeffs(0), 2, 0, -0.5, 10**5, seed=1)
     with pytest.raises(ValueError):
         mc_integral(legendre_coeffs(0), 2, 0, 0.0, 999, seed=1)
+
+
+def test_shifted_chebyshev_clenshaw_matches_exact_values():
+    # sum |c_k| is 1 for P_n, whose monomial coefficients reach 1.6e21 at
+    # n = 30 and 7.6e43 at n = 60 and cancel
+    rng = random.Random(5)
+    polys = [
+        legendre_coeffs(30), legendre_coeffs(60), Poly([Fraction(7, 3), -5, Fraction(1, 6), 2])
+    ]
+    # dyadic points, so that float(x) is x exactly
+    xs = [Fraction(rng.randint(0, 2**20), 2**20) for _ in range(50)] + [Fraction(0), Fraction(1)]
+    for poly in polys:
+        cheb = _shifted_chebyshev(poly)
+        got = _clenshaw(cheb, np.array([float(x) for x in xs]))
+        scale = float(sum(abs(c) for c in cheb))
+        for x, g in zip(xs, got):
+            exact = float(poly(x))
+            assert abs(g - exact) <= 1e-13 * scale, (poly.degree, x)
+
+
+@pytest.mark.parametrize("n", [30, 60])
+def test_mc_high_degree_legendre_mean_within_4_stderr_of_zero(n):
+    # the true value is below 1e-40, far inside the sampling error
+    est = mc_integral(legendre_coeffs(n), 2, 1, 0.0, 10**5, seed=42)
+    assert est.stderr < 1e-3
+    assert abs(est.mean) <= 4 * est.stderr
 
 
 # -- crosschecks ------------------------------------------------------------------
