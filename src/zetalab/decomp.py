@@ -30,6 +30,7 @@ happen at the report boundary.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -180,13 +181,12 @@ def decompose(poly: Poly, r: int, v: int) -> ZetaCombination:
     # kept as integer running sums up to m = mu - 1
     mu = len(poly.coeffs)
     L = lcm_upto(mu - 1)
+    quotients = [L // t for t in range(1, mu)]
     top = r + v
-    harmonic: dict[int, list[int]] = {}
-    for j in range(1, top + 1):
-        sums = [0]
-        for t in range(1, mu):
-            sums.append(sums[-1] + (L // t) ** j)
-        harmonic[j] = sums
+    harmonic = {
+        j: list(itertools.accumulate((q**j for q in quotients), initial=0))
+        for j in range(1, top + 1)
+    }
     zeta = dict.fromkeys(range(2, top + 1), 0)
     constant = 0  # over denominator * L**top
     for (m, j), c in numerators.items():

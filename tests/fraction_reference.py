@@ -81,8 +81,3 @@ def collapse(parts: dict[tuple[int, int], Fraction], v: int) -> ZetaCombination:
             constant -= c * generalized_harmonic(m - 1, j)
     return ZetaCombination.make({j: sign * q for j, q in zeta.items()}, sign * constant)
 
-
-def decompose(poly, r: int, v: int) -> ZetaCombination:
-    """The whole exact decomposition through the references above."""
-    poly = poly if isinstance(poly, Poly) else Poly(poly)
-    return collapse(principal_parts(poly, r, v), v)
