@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -206,7 +207,9 @@ def _add_format(p, default):
     p.add_argument("--format", choices=("csv", "json"), default=default)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The zetalab parser, built once per process: main() may be called many times."""
     ap = argparse.ArgumentParser(
         prog="zetalab",
         description=(

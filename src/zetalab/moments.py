@@ -6,6 +6,13 @@ function ``M(s) = sum_l a_l / (s + l + 1)``.  The series of interest sums
 s = z + k, differentiating once in s and evaluating at integer points is the
 same as differentiating the whole series in z term by term.
 
+``build_summand`` expands G as one rational function (``M**r`` and v
+quotient-rule derivatives, each reduced by a polynomial gcd).  No runtime
+path uses it: ``decompose`` and ``direct_sum_value`` read everything off
+the moment.  It stays as the independent reference that the tests and the
+acceptance criteria compare those routes against, with ``term_value``,
+``series_partial_sum`` and the integral-comparison ``tail_bound``.
+
 The coefficient-sum moment is the ground truth here.  ``moment_closed_form``
 is a product-form accelerator for the shifted-Legendre family, validated
 against the coefficient sum (an extensively cross-checked identity, since

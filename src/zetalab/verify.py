@@ -4,10 +4,14 @@ and a reproducible Monte Carlo oracle for the r-fold integrals.
 Three independent evaluation paths cross-check each other:
 
 1. exact decomposition -> ``eval_combination`` (zeta-basis, certified);
-2. ``direct_sum_value``: the first K terms summed exactly, plus an
-   Euler-Maclaurin tail read off the summand's expansion at s = infinity,
-   with certified bounds on the dropped expansion terms and on the
-   remainder; it never touches partial fractions or zeta values;
+2. ``direct_sum_value``: read off the moment M = sum_l a_l/(s+l+1) alone,
+   in integer arithmetic.  The first K terms G(k) come from M's Taylor
+   coefficients at s = k, summed over one common denominator; the
+   Euler-Maclaurin tail comes from M's expansion at s = infinity (integer
+   power sums of the pole positions), with certified bounds on the
+   dropped expansion terms (Cauchy's estimate on a bound for |M|) and on
+   the remainder.  It never expands G, and it touches neither partial
+   fractions, nor the Laurent expansions at the poles, nor zeta values;
 3. ``mc_integral``: plain uniform Monte Carlo over the unit cube.  The
    integrable singularities (log powers at the faces, the simple pole at
    the corner of the cube) keep the variance finite at desk scale, at the
@@ -20,7 +24,8 @@ Three independent evaluation paths cross-check each other:
 Zeta values use the alternating-series acceleration with Chebyshev-derived
 integer weights d_k (Borwein's method), built by an exact integer
 recurrence.  The partial sum is one integer numerator over lcm(1..n)**j,
-normalized once, and the truncation error is provably below
+normalized once; the weights and bases of the last n serve every j asked
+for at that n.  The truncation error is provably below
 3 / ((3+sqrt(8))**n * |1 - 2**(1-j)|), so every returned value carries a
 certified absolute error bound.
 
@@ -39,6 +44,7 @@ certified error bound.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,10 +53,9 @@ import numpy as np
 from mpmath import mpf
 
 from .decomp import ZetaCombination, decompose
-from .moments import SummandSpec, build_summand, check_series_args, series_partial_sum
+from .moments import check_series_args
 from .numtheory import lcm_upto
 from .polys import Poly
-from .ratfunc import RationalFunction
 
 __all__ = [
     "HighPrecisionValue",
@@ -112,6 +117,38 @@ def _chebyshev_weights(n: int) -> list[int]:
     return out
 
 
+class _AlternatingSum:
+    """The terms of the accelerated series with n weights, shared by every j.
+
+    numerator(j) = sum_{k<n} (-1)**k (d_k - d_n) (lcm(1..n)/(k+1))**j.  The
+    powers of the bases advance by one multiplication per step in j and
+    start again from the bases when a smaller j is asked for.
+    """
+
+    def __init__(self, n: int):
+        d = _chebyshev_weights(n)
+        self.n = n
+        self.dn = d[n]
+        self.lcm = lcm_upto(n)
+        self.weights = [d[n] - d[k] if k % 2 else d[k] - d[n] for k in range(n)]
+        self.bases = [self.lcm // (k + 1) for k in range(n)]
+        self.j = 1
+        self.powers = self.bases
+
+    def numerator(self, j: int) -> int:
+        if j < self.j:
+            self.j, self.powers = 1, self.bases
+        while self.j < j:
+            self.powers = list(map(operator.mul, self.powers, self.bases))
+            self.j += 1
+        return sum(map(operator.mul, self.weights, self.powers))
+
+
+# the series of the last n asked for: eval_combination asks for zeta(2..r+v)
+# at one precision, so at one n; older n are dropped, not kept
+_last_series: _AlternatingSum | None = None
+
+
 def _zeta_rational(j: int, digits: int) -> tuple[Fraction, Fraction]:
     """(rational approximation of zeta(j), certified truncation bound).
 
@@ -120,17 +157,15 @@ def _zeta_rational(j: int, digits: int) -> tuple[Fraction, Fraction]:
     Truncation after n weights is below 3/((3+sqrt 8)**n (1-2**(1-j)));
     3 + sqrt(8) > 5828/1000 gives a rational upper bound on the error.
     """
+    global _last_series
     n = int((digits * math.log(10) + math.log(6)) / math.log(3 + math.sqrt(8))) + 3
-    d = _chebyshev_weights(n)
-    dn = d[n]
-    lcm = lcm_upto(n)
-    total = 0
-    for k in range(n):
-        term = (d[k] - dn) * (lcm // (k + 1)) ** j
-        total += -term if k % 2 else term
+    if _last_series is None or _last_series.n != n:
+        _last_series = _AlternatingSum(n)
+    series = _last_series
+    total = series.numerator(j)
     pref = Fraction(2 ** (j - 1), 2 ** (j - 1) - 1)
     # zeta(j) ~ -(total / lcm**j) * pref / dn, normalized once
-    value = Fraction(-total * 2 ** (j - 1), lcm**j * (2 ** (j - 1) - 1) * dn)
+    value = Fraction(-total * 2 ** (j - 1), series.lcm**j * (2 ** (j - 1) - 1) * series.dn)
     bound = 3 * Fraction(1000, 5828) ** n * pref
     return value, bound
 
@@ -201,64 +236,134 @@ def eval_combination(combo: ZetaCombination, precision: int = 30) -> HighPrecisi
 
 # ---------------------------------------------------------------------------
 # certified direct summation (the oracle path, independent of partial
-# fractions)
+# fractions and of zeta values): everything is read off the moment
+# M = sum_l a_l / (s+l+1), in integers over one common denominator per sum
 # ---------------------------------------------------------------------------
 
-# 2*pi > 6.2831853: a rational lower bound for the Euler-Maclaurin remainder
-_TWO_PI_LOWER = Fraction(62831853, 10**7)
+# 2*pi > 62831853 / 10**7: a rational lower bound for the Euler-Maclaurin remainder
+_TWO_PI_NUM, _TWO_PI_DEN = 62831853, 10**7
 
 
-def _expansion_at_infinity(g: RationalFunction, order: int) -> list[Fraction]:
-    """e_0..e_order with g(s) = sum_i e_i s**-i near s = infinity.
+def _exact_quotient(a: int, b: int) -> int:
+    """a // b where a is a multiple of b by construction; a remainder raises."""
+    q, rem = divmod(a, b)
+    if rem:
+        raise RuntimeError(f"internal invariant violation: {b} does not divide the common denominator")
+    return q
 
-    With y = 1/s, g = y**d * Nrev(y) / Drev(y), where d is the decay degree
-    and the reversed coefficient lists have Drev(0) = 1 (g's denominator is
-    monic); one exact power-series division gives e_d, e_{d+1}, ...
+
+def _moment_expansion(poly: Poly, r: int, v: int, order: int) -> tuple[list[int], int]:
+    """([E_0..E_order], A**r) with G(s) = sum_i (E_i / A**r) s**-i near s = infinity.
+
+    A clears the denominators of R's coefficients and alpha_l = A a_l.  Near
+    s = infinity, A M = sum_l alpha_l / (s+l+1) = sum_i mu_i s**-(i+1) with
+    the integer power sums mu_i = sum_l alpha_l (-(l+1))**i, so
+    (A M)**r = s**-r m(1/s)**r, where m(y) = sum_i mu_i y**i and m**r is a
+    truncated product of integer power series.  Each derivative maps
+    c s**-j to -j c s**-(j+1), hence E_{j+v} = (-1)**v (j)_v [y**(j-r)] m**r
+    for j >= r, and E_i = 0 for i < r + v.
     """
-    nrev = g.num.coeffs[::-1]
-    drev = g.den.coeffs[::-1]
-    d = g.decay_degree
-    q: list[Fraction] = []
-    for k in range(order - d + 1):
-        c = nrev[k] if k < len(nrev) else Fraction(0)
-        for j in range(1, min(k, len(drev) - 1) + 1):
-            c -= drev[j] * q[k - j]
-        q.append(c)
-    return [Fraction(0)] * d + q
+    alpha, A = poly.clear_denominators()
+    size = order - r - v + 1
+    mu: list[int] = []
+    steps = [-(l + 1) for l in range(len(alpha))]
+    terms = alpha
+    for _ in range(size):
+        mu.append(sum(terms))
+        terms = list(map(operator.mul, terms, steps))
+    power = mu
+    for _ in range(r - 1):
+        power = [sum(map(operator.mul, power[: k + 1], mu[k::-1])) for k in range(size)]
+    sign = -1 if v % 2 else 1
+    out = [0] * min(r + v, order + 1)
+    out += [sign * math.prod(range(i - v, i)) * c for i, c in enumerate(power, r + v)]
+    return out, A**r
 
 
-def _euler_maclaurin_sum(spec: SummandSpec, tau: Fraction) -> tuple[Fraction, Fraction, int]:
+def _head_sum(poly: Poly, r: int, v: int, K: int) -> Fraction:
+    """sum_{k<K} G(k), summed over one common denominator and normalized once.
+
+    With alpha_l = A a_l as in _moment_expansion, put c = k+l+1, which is at
+    most K + deg R here, and Lam = lcm(1..K + deg R), so every Q_c = Lam/c
+    is an integer.  Then A M(k+t) = sum_l alpha_l / (c+t) =
+    (1/Lam) sum_j tau_j (t/Lam)**j with tau_j = (-1)**j sum_l alpha_l
+    Q_{k+l+1}**(j+1), and the Taylor coefficient G(k) = v! [t**v] M(k+t)**r
+    is v! [u**v] tau(u)**r / (A**r Lam**(r+v)): an integer numerator over a
+    denominator that all K terms share.
+    """
+    alpha, A = poly.clear_denominators()
+    width = len(alpha)
+    top = K + width - 1
+    lam = lcm_upto(top)
+    quotients = [_exact_quotient(lam, c) for c in range(1, top + 1)]
+    rows = [quotients]  # rows[j][c-1] = Q_c**(j+1)
+    for _ in range(v):
+        rows.append(list(map(operator.mul, rows[-1], quotients)))
+    total = 0
+    for k in range(K):
+        tau = [sum(map(operator.mul, alpha, row[k : k + width])) for row in rows]
+        tau[1::2] = [-t for t in tau[1::2]]
+        power = tau
+        for _ in range(r - 2):
+            power = [sum(map(operator.mul, power[: i + 1], tau[i::-1])) for i in range(v + 1)]
+        total += sum(map(operator.mul, power, reversed(tau)))
+    return Fraction(math.factorial(v) * total, A**r * lam ** (r + v))
+
+
+def _cauchy_bound(poly: Poly, r: int, v: int, radius: int) -> Fraction:
+    """A rational g_max >= |G(s)| on the circle |s| = radius, for radius > deg R + 1.
+
+    Let mu = deg R + 1, so the poles of M lie at -1, ..., -mu, and put
+    delta = v (radius - mu) / (v + r).  Fix s with |s| = radius.  Every w
+    with |w - s| <= delta has |w| >= radius - delta > mu >= l + 1, so
+    |w + l + 1| >= radius - delta - l - 1 > 0 and
+
+        |M(w)| <= B = sum_l |a_l| / (radius - delta - l - 1).
+
+    M**r is analytic on that closed disc, so Cauchy's estimate gives
+    |G(s)| = |(M**r)^(v)(s)| <= v! B**r / delta**v.  For v = 0, delta = 0
+    and the bound is |M(s)|**r <= B**r directly.
+    """
+    mu = len(poly.coeffs)
+    delta = Fraction(v * (radius - mu), v + r)
+    near = radius - delta
+    bound = sum(abs(a) / (near - l - 1) for l, a in enumerate(poly.coeffs))
+    return math.factorial(v) * bound**r / delta**v
+
+
+def _euler_maclaurin_sum(poly: Poly, r: int, v: int, tau: Fraction) -> tuple[Fraction, Fraction, int]:
     """(S, bound, K) with |sum_{k>=0} G(k) - S| <= bound <= tau / 2.
 
-    G = P + T splits at s = infinity into P = sum_{d<=i<=L} e_i s**-i and a
-    remainder T.  S is the exact head sum_{k<K} G(k) plus the
-    Euler-Maclaurin sum of P from K on, term by term over the powers:
+    G = P + T splits at s = infinity into P = sum_{d<=i<=L} e_i s**-i, with
+    d = r + v and the e_i from _moment_expansion, and a remainder T.  S is
+    the exact head sum_{k<K} G(k) (_head_sum) plus the Euler-Maclaurin sum
+    of P from K on, term by term over the powers:
 
         sum_{k>=K} k**-i = K**(1-i)/(i-1) + K**-i/2
                            + sum_{j<=p} B_2j/(2j)! (i)_2j-1 K**(1-i-2j) + R,
         |R| <= 4/(2 pi)**2p * (i)_2p-1 K**(1-i-2p),
 
     with (i)_q the rising factorial; the remainder bound follows Johansson,
-    arXiv:1309.2877.  The poles of G lie at -m with 1 <= m <= mu = deg(poly) + 1,
-    so with rho = 2 mu, |G| <= M = Ntilde(rho)/|D(-rho)| on |s| = rho
-    (Ntilde takes absolute coefficients; D is monic with its roots at the
-    -m, so |D(s)| >= |D(-rho)| there).  Cauchy's estimate gives
-    |e_i| <= M rho**i, hence
+    arXiv:1309.2877.  The poles of G lie at -m with 1 <= m <= mu = deg R + 1,
+    so G's expansion converges on |s| > mu; with rho = 2 mu and
+    g_max >= |G| on |s| = rho (_cauchy_bound), Cauchy's estimate gives
+    |e_i| <= g_max rho**i, hence
 
-        sum_{k>=K} |T(k)| <= M (rho/K)**(L+1) (1 + K/L) / (1 - rho/K).
+        sum_{k>=K} |T(k)| <= g_max (rho/K)**(L+1) (1 + K/L) / (1 - rho/K).
 
     L is the least order that brings this under tau/4.  K starts at 8 rho
     and doubles until some p brings the remainder under tau/4 before the
-    remainder bounds start to grow again.  Everything is exact rational
-    arithmetic, so the bound covers all error.
+    remainder bounds start to grow again.  The Euler-Maclaurin sums run on
+    the integers U_i = E_i K**(L-i), e_i K**-i = U_i / (A**r K**L); only the
+    per-order remainders and corrections are rationals.  Everything is exact,
+    so the bound covers all error.
     """
-    g = spec.summand
-    d = spec.decay_degree
-    radius = 2 * (spec.poly.degree + 1)
-    g_max = g.num.abs_coeffs()(radius) / abs(g.den(-radius))
+    d = r + v
+    radius = 2 * len(poly.coeffs)
+    g_max = _cauchy_bound(poly, r, v, radius)
     budget = tau / 4
     K = 8 * radius
-    e: list[Fraction] = []
+    e: list[int] = []
     while True:
         x = Fraction(radius, K)
         L = d
@@ -266,8 +371,10 @@ def _euler_maclaurin_sum(spec: SummandSpec, tau: Fraction) -> tuple[Fraction, Fr
             L += 1
         truncation = g_max * x ** (L + 1) * (1 + Fraction(K, L)) / (1 - x)
         if len(e) <= L:
-            e = _expansion_at_infinity(g, L)
-        u = [e[i] / Fraction(K) ** i for i in range(d, L + 1)]  # e_i K**-i, i >= d
+            e, den = _moment_expansion(poly, r, v, L)
+        scale = den * K**L  # e_i K**-i = U_i / scale
+        u = [c * K ** (L - i) for i, c in enumerate(e[d : L + 1], d)]
+        magnitudes = [abs(c) for c in u]
         rising = list(range(d, L + 1))  # (i)_2j-1 at j = 1
         corrections = Fraction(0)
         factorial = 1
@@ -275,30 +382,33 @@ def _euler_maclaurin_sum(spec: SummandSpec, tau: Fraction) -> tuple[Fraction, Fr
         j = 1
         while True:
             factorial *= (2 * j - 1) * (2 * j)
-            k_power = Fraction(1, K ** (2 * j - 1))
+            k_scale = scale * K ** (2 * j - 1)
             b_num, b_den = mpmath.bernfrac(2 * j)
-            signed = sum(ui * ri for ui, ri in zip(u, rising)) * k_power
-            corrections += Fraction(b_num, b_den * factorial) * signed
-            absolute = sum(abs(ui) * ri for ui, ri in zip(u, rising)) * k_power
-            remainder = 4 * absolute / _TWO_PI_LOWER ** (2 * j)
+            signed = sum(map(operator.mul, u, rising))
+            corrections += Fraction(b_num * signed, b_den * factorial * k_scale)
+            absolute = sum(map(operator.mul, magnitudes, rising))
+            remainder = Fraction(
+                4 * absolute * _TWO_PI_DEN ** (2 * j), k_scale * _TWO_PI_NUM ** (2 * j)
+            )
             if remainder <= budget:
-                integral = sum(ui * K / (i - 1) for i, ui in enumerate(u, d))
-                tail = integral + sum(u) / 2 + corrections
-                return series_partial_sum(spec, K) + tail, truncation + remainder, K
+                lam = lcm_upto(L - 1)
+                integral = sum(c * _exact_quotient(lam, i - 1) for i, c in enumerate(u, d))
+                tail = Fraction(2 * K * integral + lam * sum(u), 2 * lam * scale) + corrections
+                return _head_sum(poly, r, v, K) + tail, truncation + remainder, K
             if previous is not None and remainder >= previous:
                 break
             previous = remainder
-            rising = [ri * (i + 2 * j - 1) * (i + 2 * j) for i, ri in enumerate(rising, d)]
+            rising = [c * (i + 2 * j - 1) * (i + 2 * j) for i, c in enumerate(rising, d)]
             j += 1
         K *= 2
 
 
-def _direct_sum(spec: SummandSpec, tau: Fraction) -> tuple[HighPrecisionValue, int]:
-    """direct_sum_value's result for spec, and the number K of exact terms."""
+def _direct_sum(poly: Poly, r: int, v: int, tau: Fraction) -> tuple[HighPrecisionValue, int]:
+    """direct_sum_value's result for (poly, r, v), and the number K of exact terms."""
     if tau <= 0:
         raise ValueError("target_error must be positive")
-    total, bound, K = _euler_maclaurin_sum(spec, tau)
-    sign = -1 if spec.v % 2 else 1
+    total, bound, K = _euler_maclaurin_sum(poly, r, v, tau)
+    sign = -1 if v % 2 else 1
     out_dps = max(15, _magnitude_digits(1 / bound) + _magnitude_digits(abs(total)) + 5)
     with mpmath.workdps(out_dps):
         val = _fraction_to_mpf(sign * total)
@@ -311,14 +421,17 @@ def _direct_sum(spec: SummandSpec, tau: Fraction) -> tuple[HighPrecisionValue, i
 def direct_sum_value(poly: Poly, r: int, v: int, target_error) -> HighPrecisionValue:
     """(-1)**v times the series sum, certified within target_error.
 
-    An exact head of K terms plus an Euler-Maclaurin tail read off G's
-    expansion at infinity, with rigorous bounds on both the dropped
-    expansion terms and the remainder (see _euler_maclaurin_sum).  Every
-    positive target is reachable.  target_error is anything Fraction()
-    reads: an int, a str such as "1e-6", a float or a Fraction.  Fully
-    independent of partial fractions and of zeta_value.
+    An exact head of K terms plus an Euler-Maclaurin tail, both read off the
+    moment M (its Taylor expansions at s = k and its expansion at
+    infinity), with rigorous bounds on both the dropped expansion terms and
+    the remainder (see _euler_maclaurin_sum).  Every positive target is
+    reachable.  poly is a Poly or a coefficient list, lowest degree first.
+    target_error is anything Fraction() reads: an int, a str such as
+    "1e-6", a float or a Fraction.  Fully independent of partial fractions
+    and of zeta_value.
     """
-    return _direct_sum(build_summand(poly, r, v), Fraction(target_error))[0]
+    poly = check_series_args(poly, r, v)
+    return _direct_sum(poly, r, v, Fraction(target_error))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -533,7 +646,7 @@ def crosscheck(
     poly = check_series_args(poly, r, v)
     exact = eval_combination(decompose(poly, r, v), precision)
     target = Fraction(1, 10**precision)
-    direct, direct_K = _direct_sum(build_summand(poly, r, v), target)
+    direct, direct_K = _direct_sum(poly, r, v, target)
     mc = mc_integral(poly, r, v, 0.0, samples, seed)
     with mpmath.workdps(precision + 10):
         d1 = abs(exact.value - direct.value)
@@ -562,12 +675,11 @@ def shifted_series_value(poly: Poly, r: int, z: int, precision: int = 30) -> Hig
     """
     if z < 0 or int(z) != z:
         raise ValueError("z must be a nonnegative integer here")
-    combo = decompose(poly, r, 0)
-    full = eval_combination(combo, precision)
+    poly = check_series_args(poly, r, 0)
+    full = eval_combination(decompose(poly, r, 0), precision)
     if z == 0:
         return full
-    spec = build_summand(poly, r, 0)
-    head = series_partial_sum(spec, int(z))
+    head = _head_sum(poly, r, 0, int(z))
     with mpmath.workdps(full.dps + 10):
         val = full.value - _fraction_to_mpf(head)
         err = full.error_bound + abs(val) * mpf(10) ** (1 - full.dps)

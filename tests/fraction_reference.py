@@ -3,7 +3,9 @@
 The library computes these with integer arithmetic over one common
 denominator.  These are the straightforward spellings, with one ``Fraction``
 operation (and its gcd) per term; the tests require the library to return
-``==`` results.
+``==`` results.  The direct-sum references work on the expanded summand
+G = d^v/ds^v [M**r] that ``build_summand`` builds, where the library reads
+everything off the moment M.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from zetalab import Poly, ZetaCombination, generalized_harmonic, harmonic
+from zetalab import Poly, RationalFunction, ZetaCombination, generalized_harmonic, harmonic
 
 
 def chebyshev_weights(n: int) -> list[int]:
@@ -81,3 +83,22 @@ def collapse(parts: dict[tuple[int, int], Fraction], v: int) -> ZetaCombination:
             constant -= c * generalized_harmonic(m - 1, j)
     return ZetaCombination.make({j: sign * q for j, q in zeta.items()}, sign * constant)
 
+
+
+def expansion_at_infinity(g: RationalFunction, order: int) -> list[Fraction]:
+    """e_0..e_order with g(s) = sum_i e_i s**-i near s = infinity.
+
+    With y = 1/s, g = y**d * Nrev(y) / Drev(y), where d is the decay degree
+    and the reversed coefficient lists have Drev(0) = 1 (g's denominator is
+    monic); one exact power-series division gives e_d, e_{d+1}, ...
+    """
+    nrev = g.num.coeffs[::-1]
+    drev = g.den.coeffs[::-1]
+    d = g.decay_degree
+    q: list[Fraction] = []
+    for k in range(order - d + 1):
+        c = nrev[k] if k < len(nrev) else Fraction(0)
+        for j in range(1, min(k, len(drev) - 1) + 1):
+            c -= drev[j] * q[k - j]
+        q.append(c)
+    return [Fraction(0)] * d + q

@@ -4,13 +4,28 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_reference as ref
-from zetalab import Poly, decompose, legendre_coeffs
+from zetalab import (
+    Poly,
+    build_summand,
+    decompose,
+    direct_sum_value,
+    eval_combination,
+    legendre_coeffs,
+    series_partial_sum,
+)
 from zetalab.decomp import _principal_parts
-from zetalab.verify import _chebyshev_weights, _zeta_rational
+from zetalab.verify import (
+    _cauchy_bound,
+    _chebyshev_weights,
+    _head_sum,
+    _moment_expansion,
+    _zeta_rational,
+)
 
 
 def test_chebyshev_weights_match_reference():
@@ -20,7 +35,8 @@ def test_chebyshev_weights_match_reference():
 
 @pytest.mark.parametrize("digits", [20, 60, 100, 140])
 def test_zeta_rational_matches_reference(digits):
-    for j in range(2, 13):
+    # up and down again: the memo steps its powers up in j and restarts below
+    for j in [*range(2, 13), *range(12, 1, -1)]:
         assert _zeta_rational(j, digits) == ref.zeta_rational(j, digits)
 
 
@@ -72,3 +88,61 @@ def test_integer_kernels_match_reference_on_random_polys(coeffs, r, v):
     parts = ref.principal_parts(poly, r, v)
     assert _principal_parts(poly, r, v) == parts
     assert decompose(poly, r, v) == ref.collapse(parts, v)
+
+
+# -- the direct sum, read off the moment, against the expanded summand G --------
+
+
+def _assert_direct_kernels_match(poly, r, v):
+    spec = build_summand(poly, r, v)
+    order = spec.decay_degree + 10
+    numerators, denominator = _moment_expansion(poly, r, v, order)
+    expected = ref.expansion_at_infinity(spec.summand, order)
+    assert [Fraction(c, denominator) for c in numerators] == expected
+    K = len(poly.coeffs) + 3
+    assert _head_sum(poly, r, v, K) == series_partial_sum(spec, K)
+    # s = -radius, on the circle, is the point nearest the poles
+    radius = 2 * len(poly.coeffs)
+    assert abs(spec.summand(-radius)) <= _cauchy_bound(poly, r, v, radius)
+
+
+def test_direct_sum_kernels_match_reference_on_legendre_grid():
+    for n in range(21):
+        for r in (2, 3, 4):
+            for v in range(4):
+                _assert_direct_kernels_match(legendre_coeffs(n), r, v)
+
+
+@settings(max_examples=40)
+@given(
+    coeffs=st.one_of(_dense, _sparse, _rational).filter(any),
+    r=st.integers(2, 4),
+    v=st.integers(0, 3),
+)
+def test_direct_sum_kernels_match_reference_on_random_polys(coeffs, r, v):
+    _assert_direct_kernels_match(Poly(coeffs), r, v)
+
+
+def test_direct_sum_encloses_the_exact_value_at_n_60():
+    poly = legendre_coeffs(60)
+    d = direct_sum_value(poly, 3, 2, Fraction(1, 10**30))
+    e = eval_combination(decompose(poly, 3, 2), 30)
+    with mpmath.workdps(60):
+        assert d.error_bound <= mpmath.mpf("1e-30")
+        assert abs(d.value - e.value) <= d.error_bound + e.error_bound
+
+
+def test_inexact_head_division_raises_under_python_O():
+    # every division in the direct sum's common denominators is exact by
+    # construction; a remainder must raise, not pass an assert that -O strips
+    code = (
+        "from zetalab import legendre_coeffs, verify\n"
+        "verify.divmod = lambda a, b: (a // b, 1)\n"
+        "try:\n"
+        "    verify.direct_sum_value(legendre_coeffs(2), 2, 1, '1e-10')\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "does not divide the common denominator" in proc.stdout

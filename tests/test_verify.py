@@ -177,8 +177,8 @@ def test_mpf_tier_rounding_budget_holds():
         while poly is None or poly.is_zero:
             poly = Poly([rng.randint(-4, 4) for _ in range(3)])
         spec = build_summand(poly, 2, rng.randint(0, 2))
-        total, bound, _ = _euler_maclaurin_sum(spec, tau)
-        d, _ = _direct_sum(spec, tau)
+        total, bound, _ = _euler_maclaurin_sum(spec.poly, spec.r, spec.v, tau)
+        d, _ = _direct_sum(spec.poly, spec.r, spec.v, tau)
         exact = total * (-1) ** spec.v
         assert bound <= tau / 2
         assert abs(_exact(d.value) - exact) <= _exact(d.error_bound) - bound
