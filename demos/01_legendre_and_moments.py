@@ -6,8 +6,6 @@ P_n on [0, 1] and its moment M(s) = integral_0^1 x**s P_n(x) dx, which is
 a rational function of s with poles at the negative integers.
 """
 
-from fractions import Fraction
-
 from zetalab import (
     Poly,
     integrate_poly_01,
@@ -31,12 +29,11 @@ for n in range(4):
 print("  (diagonal is 1/(2n+1), off-diagonal vanishes)")
 
 print()
-print("The moment M(s) as a normalized rational function:")
+print("The moment M(s) = sum_l a_l/(s+l+1) as a (numerator, denominator) pair;")
+print("the denominator is the product of the (s+l+1), so no gcd is needed:")
 for n in range(4):
-    m = moment_from_coeffs(legendre_coeffs(n))
-    num = [str(c) for c in m.num.coeffs]
-    den = [str(c) for c in m.den.coeffs]
-    print(f"  n={n}: numerator {num}  /  denominator {den}")
+    num, den = moment_from_coeffs(legendre_coeffs(n))
+    print(f"  n={n}: numerator {[str(c) for c in num.coeffs]}  /  denominator {[str(c) for c in den.coeffs]}")
 
 print()
 print("Two routes, one function: the coefficient-sum moment is ground truth,")
@@ -47,6 +44,6 @@ for n in range(8):
 
 print()
 print("Moments also work for any integer polynomial, e.g. R = 1 + x^3 - 5x^4:")
-m = moment_from_coeffs(Poly([1, 0, 0, 1, -5]))
-print(f"  M(0) = {m(0)}   (equals integral of R on [0,1] = {integrate_poly_01(Poly([1, 0, 0, 1, -5]))})")
-print(f"  M(3) = {m(3)}")
+num, den = moment_from_coeffs(Poly([1, 0, 0, 1, -5]))
+print(f"  M(0) = {num(0) / den(0)}   (equals integral of R on [0,1] = {integrate_poly_01(Poly([1, 0, 0, 1, -5]))})")
+print(f"  M(3) = {num(3) / den(3)}")

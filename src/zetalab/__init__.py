@@ -8,19 +8,9 @@ partial fractions.  A certified direct-summation path and a seeded Monte
 Carlo integrator provide two independent checks on every number produced.
 """
 
-from .numtheory import binomial, generalized_harmonic, harmonic, lcm_upto
+from .numtheory import binomial, generalized_harmonic, lcm_upto
 from .polys import Poly, integrate_poly_01, legendre_coeffs
-from .ratfunc import RationalFunction
-from .moments import (
-    SummandSpec,
-    build_summand,
-    envelope_constant,
-    moment_closed_form,
-    moment_from_coeffs,
-    series_partial_sum,
-    tail_bound,
-    term_value,
-)
+from .moments import moment_closed_form, moment_from_coeffs
 from .decomp import (
     CriterionRecord,
     DecompositionReport,
@@ -47,20 +37,12 @@ __version__ = "0.1.0"
 __all__ = [
     "binomial",
     "generalized_harmonic",
-    "harmonic",
     "lcm_upto",
     "Poly",
     "integrate_poly_01",
     "legendre_coeffs",
-    "RationalFunction",
-    "SummandSpec",
-    "build_summand",
-    "envelope_constant",
     "moment_closed_form",
     "moment_from_coeffs",
-    "series_partial_sum",
-    "tail_bound",
-    "term_value",
     "ZetaCombination",
     "decompose",
     "DecompositionReport",

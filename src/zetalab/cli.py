@@ -98,11 +98,8 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_moment(args) -> int:
-    m = moment_from_coeffs(_pick_poly(args)[0])
-    obj = {
-        "numerator": poly_to_strings(m.num),
-        "denominator": poly_to_strings(m.den),
-    }
+    num, den = moment_from_coeffs(_pick_poly(args)[0])
+    obj = {"numerator": poly_to_strings(num), "denominator": poly_to_strings(den)}
     if args.format == "csv":
         _emit_csv([{"part": part, "coefficients": c} for part, c in obj.items()])
     else:

@@ -93,10 +93,7 @@ class ZetaCombination:
 
     def common_denominator(self) -> int:
         """Smallest positive D clearing every coefficient to an integer."""
-        d = self.constant.denominator
-        for _, q in self.zeta:
-            d = d * q.denominator // math.gcd(d, q.denominator)
-        return d
+        return math.lcm(self.constant.denominator, *(q.denominator for _, q in self.zeta))
 
     def to_json_dict(self) -> dict:
         return {
@@ -124,9 +121,9 @@ def _principal_numerators(poly: Poly, r: int, v: int) -> tuple[dict[tuple[int, i
     coefficients.  U**r mod t**r then holds the numerators over the one
     denominator D = (A*S)**r.  Only nonzero C are kept.
     """
-    A = math.lcm(*(a.denominator for a in poly.coeffs))
+    cleared, A = poly.clear_denominators()
     # alpha[p] = A * a_{p-1}, the residue of A*M at s = -p
-    alpha = [0] + [a.numerator * (A // a.denominator) for a in poly.coeffs]
+    alpha = [0, *cleared]
     mu = len(poly.coeffs)
     L = lcm_upto(mu - 1)
     S = L ** (r - 1)

@@ -1,17 +1,15 @@
-"""Moments M(s) = integral_0^1 x**s R(x) dx, summands, and tail bounds.
+"""The moment M(s) = integral_0^1 x**s R(x) dx as an exact rational function.
 
-For a polynomial R with coefficients a_l, the moment is the exact rational
-function ``M(s) = sum_l a_l / (s + l + 1)``.  The series of interest sums
-``G(k)`` over integer k >= 0, where ``G = d^v/ds^v [M(s)**r]``.  Because
-s = z + k, differentiating once in s and evaluating at integer points is the
-same as differentiating the whole series in z term by term.
+For a polynomial R with coefficients a_l, the moment is
+``M(s) = sum_l a_l / (s + l + 1)``.  The series of interest sums ``G(k)``
+over integer k >= 0, where ``G = d^v/ds^v [M(s)**r]``; ``decompose`` and
+``direct_sum_value`` read G off M without expanding it.
 
-``build_summand`` expands G as one rational function (``M**r`` and v
-quotient-rule derivatives, each reduced by a polynomial gcd).  No runtime
-path uses it: ``decompose`` and ``direct_sum_value`` read everything off
-the moment.  It stays as the independent reference that the tests and the
-acceptance criteria compare those routes against, with ``term_value``,
-``series_partial_sum`` and the integral-comparison ``tail_bound``.
+A rational function here is a plain ``(num, den)`` pair of
+:class:`~zetalab.polys.Poly`, canonical: den monic, num and den coprime, so
+equal functions give equal pairs.  Its denominator is known before any
+arithmetic: it is Q = prod (s + l + 1) over the support a_l != 0, so no
+polynomial gcd is ever needed.
 
 The coefficient-sum moment is the ground truth here.  ``moment_closed_form``
 is a product-form accelerator for the shifted-Legendre family, validated
@@ -21,22 +19,11 @@ naive transcriptions of the product form are easy to get wrong off by one).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .polys import Poly
-from .ratfunc import RationalFunction
 
-__all__ = [
-    "moment_from_coeffs",
-    "moment_closed_form",
-    "SummandSpec",
-    "build_summand",
-    "term_value",
-    "series_partial_sum",
-    "envelope_constant",
-    "tail_bound",
-]
+__all__ = ["moment_from_coeffs", "moment_closed_form"]
 
 
 def _nonzero_poly(poly) -> Poly:
@@ -56,122 +43,59 @@ def check_series_args(poly, r: int, v: int) -> Poly:
     return _nonzero_poly(poly)
 
 
-def moment_from_coeffs(poly: Poly) -> RationalFunction:
-    """Moment of x**s against poly on [0, 1]: sum_l a_l / (s + l + 1)."""
-    poly = _nonzero_poly(poly)
-    support = [(l, a) for l, a in enumerate(poly.coeffs) if a != 0]
-    den = Poly([1])
-    for l, _ in support:
-        den = den * Poly([l + 1, 1])
-    num = Poly()
-    for l, a in support:
-        partial = Poly([a])
-        for lp, _ in support:
-            if lp != l:
-                partial = partial * Poly([lp + 1, 1])
-        num = num + partial
-    return RationalFunction(num, den)
+def _times_linear(p: list[int], c: int) -> list[int]:
+    """Coefficients of p(s) * (s + c), lowest degree first."""
+    return [c * x + y for x, y in zip(p + [0], [0] + p)]
 
 
-def moment_closed_form(n: int) -> RationalFunction:
+def _over_linear(p: list[int], c: int) -> list[int]:
+    """Coefficients of p(s) / (s + c), which divides p by construction.
+
+    Synthetic division; a non-zero remainder breaks the construction and raises.
+    """
+    acc, out = 0, []
+    for x in reversed(p):
+        acc = x - c * acc
+        out.append(acc)
+    if out.pop():
+        raise RuntimeError(f"internal invariant violation: s + {c} does not divide the denominator")
+    return out[::-1]
+
+
+def moment_from_coeffs(poly: Poly) -> tuple[Poly, Poly]:
+    """Moment of x**s against poly on [0, 1], as the canonical pair (num, den).
+
+    den = Q = prod_{a_l != 0} (s + l + 1) and num = sum_l a_l Q/(s + l + 1),
+    each quotient taken by exact division by one linear factor.  The pair is
+    canonical by construction: Q is monic, and at each root s = -(l+1) of Q
+    every quotient but the l-th vanishes, so
+    num(-(l+1)) = a_l prod_{l' != l} (l' - l) != 0 and num shares no root
+    with Q.
+    """
+    alpha, A = _nonzero_poly(poly).clear_denominators()
+    roots = [l + 1 for l, a in enumerate(alpha) if a]
+    den = [1]
+    for c in roots:
+        den = _times_linear(den, c)
+    num = [0] * (len(den) - 1)
+    for c in roots:
+        num = [x + alpha[c - 1] * y for x, y in zip(num, _over_linear(den, c))]
+    return Poly(Fraction(x, A) for x in num), Poly(den)
+
+
+def moment_closed_form(n: int) -> tuple[Poly, Poly]:
     """Moment of the degree-n shifted Legendre polynomial, product form:
 
         M_n(s) = (-1)**n * s(s-1)...(s-n+1) / ((s+1)(s+2)...(s+n+1))
 
-    Exactly equal to moment_from_coeffs(legendre_coeffs(n)).
+    The numerator's roots 0..n-1 are not poles and the denominator is monic,
+    so the pair is canonical and equals moment_from_coeffs(legendre_coeffs(n)).
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    num = Poly([(-1) ** n])
+    num, den = [(-1) ** n], [1]
     for j in range(n):
-        num = num * Poly([-j, 1])
-    den = Poly([1])
+        num = _times_linear(num, -j)
     for j in range(1, n + 2):
-        den = den * Poly([j, 1])
-    return RationalFunction(num, den)
-
-
-@dataclass(frozen=True)
-class SummandSpec:
-    """Series summand G(s) = d^v/ds^v [M(s)**r] for one (poly, r, v)."""
-
-    poly: Poly
-    r: int
-    v: int
-    summand: RationalFunction
-    decay_degree: int
-
-
-def build_summand(poly: Poly, r: int, v: int) -> SummandSpec:
-    """Build G = d^v/ds^v [M**r] with its decay degree at s = infinity."""
-    poly = check_series_args(poly, r, v)
-    moment = moment_from_coeffs(poly)
-    summand = (moment**r).derivative(v)
-    decay = summand.decay_degree
-    if decay < 2:
-        raise ValueError(f"summand decays like s**-{decay}; series is not summable")
-    return SummandSpec(poly=poly, r=r, v=v, summand=summand, decay_degree=decay)
-
-
-def term_value(spec: SummandSpec, k: int) -> Fraction:
-    """Exact G(k); safe for all k >= 0 (poles sit at negative integers)."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    return spec.summand(k)
-
-
-def series_partial_sum(spec: SummandSpec, K: int) -> Fraction:
-    """Exact sum of G(k) for k = 0..K-1."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    return sum((term_value(spec, k) for k in range(K)), Fraction(0))
-
-
-def envelope_constant(spec: SummandSpec, K: int) -> Fraction:
-    """Rational C with |G(s)| <= C / s**decay_degree for all s >= K - 1.
-
-    Writing G = N/D with D monic: D has nonnegative coefficients whenever
-    every pole is at a negative integer, so D(s) >= s**deg(D) for s >= 0;
-    and |N(s)| <= Ntilde(s) where Ntilde takes absolute coefficients, with
-    Ntilde(s)/s**deg(N) nonincreasing for s > 0.  Hence
-    C = Ntilde(K-1)/(K-1)**deg(N) works on [K-1, infinity).
-
-    If D has a negative coefficient the envelope anchor must clear a
-    Cauchy-style bound on the denominator's critical region instead, and C
-    doubles.
-    """
-    if K < 2:
-        raise ValueError("increase K: envelope anchor needs K >= 2")
-    num, den = spec.summand.num, spec.summand.den
-    if num.is_zero:
-        return Fraction(0)
-    s0 = Fraction(K - 1)
-    if any(c < 0 for c in den.coeffs):
-        threshold = 2 * sum(abs(c) for c in den.coeffs[:-1])
-        if s0 < threshold:
-            raise ValueError(
-                f"increase K: envelope needs K - 1 >= {threshold} for this denominator"
-            )
-        c = 2 * num.abs_coeffs()(s0) / s0**num.degree
-    else:
-        c = num.abs_coeffs()(s0) / s0**num.degree
-    return c
-
-
-def tail_bound(spec: SummandSpec, K: int) -> Fraction:
-    """Certified upper bound on |sum_{k >= K} G(k)|, by integral comparison.
-
-    With C = envelope_constant(spec, K) and d = decay_degree:
-
-        sum_{k >= K} |G(k)| <= C * integral_{K-1}^inf s**-d ds
-                             = C / ((d - 1) * (K - 1)**(d - 1)).
-
-    Requires K >= 2 so the comparison integral starts at a positive point.
-    The bound is exact rational arithmetic end to end and is nonincreasing
-    in K.
-    """
-    if K < 2:
-        raise ValueError("increase K: tail bound needs K >= 2")
-    c = envelope_constant(spec, K)
-    d = spec.decay_degree
-    return c / ((d - 1) * Fraction(K - 1) ** (d - 1))
+        den = _times_linear(den, j)
+    return Poly(num), Poly(den)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-__all__ = ["binomial", "lcm_upto", "generalized_harmonic", "harmonic"]
+__all__ = ["binomial", "lcm_upto", "generalized_harmonic"]
 
 
 def binomial(n: int, k: int) -> int:
@@ -40,7 +40,3 @@ def generalized_harmonic(m: int, j: int) -> Fraction:
         total += Fraction(1, t**j)
     return total
 
-
-def harmonic(m: int) -> Fraction:
-    """Harmonic number H_m = 1 + 1/2 + ... + 1/m (H_0 = 0)."""
-    return generalized_harmonic(m, 1)

@@ -46,12 +46,6 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -65,15 +59,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({[str(c) for c in self.coeffs]})"
-
-    def int_coeffs(self) -> list[int]:
-        """Coefficients as ints; raises if any coefficient is non-integer."""
-        out = []
-        for c in self.coeffs:
-            if c.denominator != 1:
-                raise ValueError(f"coefficient {c} is not an integer")
-            out.append(c.numerator)
-        return out
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -137,48 +122,12 @@ class Poly:
             acc = acc * x + c
         return acc
 
-    def divmod(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Polynomial division with remainder over the rationals."""
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dq = len(rem) - len(other.coeffs)
-        if dq < 0:
-            return Poly(), self
-        quo = [Fraction(0)] * (dq + 1)
-        lead = other.leading
-        dcs = other.coeffs
-        for i in range(dq, -1, -1):
-            c = rem[i + len(dcs) - 1] / lead
-            quo[i] = c
-            if c:
-                for j, d in enumerate(dcs):
-                    rem[i + j] -= c * d
-        return Poly(quo), Poly(rem)
-
-    def exact_div(self, other: "Poly") -> "Poly":
-        q, r = self.divmod(other)
-        if not r.is_zero:
-            raise ValueError("polynomial division is not exact")
-        return q
-
-    def abs_coeffs(self) -> "Poly":
-        """Polynomial with the absolute values of the coefficients."""
-        return Poly([abs(c) for c in self.coeffs])
-
-    def monic(self) -> "Poly":
-        if self.is_zero:
-            return self
-        return self.scale(1 / self.leading)
-
     # -- integer-polynomial helpers -------------------------------------------
 
     def clear_denominators(self) -> tuple[list[int], int]:
         """Return (integer coefficient list, d) with self == intpoly / d."""
-        d = 1
-        for c in self.coeffs:
-            d = d * c.denominator // math.gcd(d, c.denominator)
-        return [int(c * d) for c in self.coeffs], d
+        d = math.lcm(*(c.denominator for c in self.coeffs))
+        return [c.numerator * (d // c.denominator) for c in self.coeffs], d
 
 
 def legendre_coeffs(n: int) -> Poly:

@@ -5,20 +5,17 @@ import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fraction_reference import build_summand, recombine, series_partial_sum, tail_bound
 from zetalab import (
     Poly,
-    RationalFunction,
     ZetaCombination,
     apery_report,
-    build_summand,
     decompose,
     decomposition_report,
     eval_combination,
     lcm_upto,
     legendre_coeffs,
     rationality_criterion,
-    series_partial_sum,
-    tail_bound,
 )
 from zetalab.decomp import _principal_parts
 
@@ -64,19 +61,13 @@ def test_principal_parts_hand_examples():
     assert decompose(one_minus_x, 2, 1) == ZetaCombination.make({3: 4}, -4)
 
 
-def _recombine(parts):
-    total = RationalFunction.constant(0)
-    for (m, j), c in parts.items():
-        total = total + RationalFunction(Poly([c]), Poly([m, 1]) ** j)
-    return total
-
-
 def assert_parts_rebuild_summand(poly, r, v):
     # a proper rational function is fixed by its principal parts, so this
-    # pins every coefficient against the independent build_summand route
+    # pins every coefficient against the independent build_summand route:
+    # G = N_v / Q**(r+v), and N_v == sum c Q**(r+v) / (s+m)**j
     parts = _principal_parts(poly, r, v)
     assert all(c != 0 for c in parts.values())
-    assert _recombine(parts) == build_summand(poly, r, v).summand
+    assert recombine(parts, poly, r + v) == build_summand(poly, r, v).summand[0]
     return parts
 
 

@@ -11,12 +11,12 @@ from hypothesis import given, settings, strategies as st
 import fraction_reference as ref
 from zetalab import (
     Poly,
-    build_summand,
     decompose,
     direct_sum_value,
     eval_combination,
+    integrate_poly_01,
     legendre_coeffs,
-    series_partial_sum,
+    moment_from_coeffs,
 )
 from zetalab.decomp import _principal_parts
 from zetalab.verify import (
@@ -90,27 +90,58 @@ def test_integer_kernels_match_reference_on_random_polys(coeffs, r, v):
     assert decompose(poly, r, v) == ref.collapse(parts, v)
 
 
+@settings(max_examples=60)
+@given(coeffs=st.one_of(_dense, _sparse, _rational).filter(any))
+def test_moment_is_canonical_and_the_integral_on_random_polys(coeffs):
+    poly = Poly(coeffs)
+    num, den = moment_from_coeffs(poly)
+    assert den.coeffs[-1] == 1
+    for l, a in enumerate(poly.coeffs):
+        if a:
+            assert den(-l - 1) == 0 and num(-l - 1) != 0
+    for s in range(6):
+        assert num(s) / den(s) == integrate_poly_01(Poly([0] * s + [1]) * poly)
+
+
+def test_moment_division_remainder_raises_under_python_O():
+    # Q is divisible by each of its linear factors by construction; a
+    # remainder must raise RuntimeError, not pass an assert that -O strips.
+    # Building Q on shifted roots leaves one.
+    code = (
+        "from zetalab import legendre_coeffs, moments\n"
+        "times_linear = moments._times_linear\n"
+        "moments._times_linear = lambda p, c: times_linear(p, c + 1)\n"
+        "try:\n"
+        "    moments.moment_from_coeffs(legendre_coeffs(3))\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "does not divide the denominator" in proc.stdout
+
+
 # -- the direct sum, read off the moment, against the expanded summand G --------
 
 
-def _assert_direct_kernels_match(poly, r, v):
-    spec = build_summand(poly, r, v)
+def _assert_direct_kernels_match(spec):
+    poly, r, v = spec.poly, spec.r, spec.v
     order = spec.decay_degree + 10
     numerators, denominator = _moment_expansion(poly, r, v, order)
     expected = ref.expansion_at_infinity(spec.summand, order)
     assert [Fraction(c, denominator) for c in numerators] == expected
     K = len(poly.coeffs) + 3
-    assert _head_sum(poly, r, v, K) == series_partial_sum(spec, K)
+    assert _head_sum(poly, r, v, K) == ref.series_partial_sum(spec, K)
     # s = -radius, on the circle, is the point nearest the poles
     radius = 2 * len(poly.coeffs)
-    assert abs(spec.summand(-radius)) <= _cauchy_bound(poly, r, v, radius)
+    assert abs(ref.evaluate(spec.summand, -radius)) <= _cauchy_bound(poly, r, v, radius)
 
 
 def test_direct_sum_kernels_match_reference_on_legendre_grid():
     for n in range(21):
         for r in (2, 3, 4):
-            for v in range(4):
-                _assert_direct_kernels_match(legendre_coeffs(n), r, v)
+            for spec in ref.summands(legendre_coeffs(n), r, 3):
+                _assert_direct_kernels_match(spec)
 
 
 @settings(max_examples=40)
@@ -120,7 +151,7 @@ def test_direct_sum_kernels_match_reference_on_legendre_grid():
     v=st.integers(0, 3),
 )
 def test_direct_sum_kernels_match_reference_on_random_polys(coeffs, r, v):
-    _assert_direct_kernels_match(Poly(coeffs), r, v)
+    _assert_direct_kernels_match(ref.build_summand(Poly(coeffs), r, v))
 
 
 def test_direct_sum_encloses_the_exact_value_at_n_60():

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from zetalab import binomial, generalized_harmonic, harmonic, lcm_upto
+from zetalab import binomial, generalized_harmonic, lcm_upto
 
 
 def pascal_binomial(n, k):
@@ -61,8 +61,8 @@ def test_generalized_harmonic_examples():
     assert generalized_harmonic(0, 2) == 0
     assert generalized_harmonic(3, 2) == Fraction(49, 36)
     assert generalized_harmonic(3, 1) == Fraction(11, 6)
-    assert harmonic(0) == 0
-    assert harmonic(4) == Fraction(25, 12)
+    assert generalized_harmonic(0, 1) == 0
+    assert generalized_harmonic(4, 1) == Fraction(25, 12)
 
 
 def test_generalized_harmonic_rejects_bad_args():
