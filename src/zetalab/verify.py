@@ -30,10 +30,10 @@ for at that n.  The truncation error is provably below
 certified absolute error bound.
 
 Randomness: Philox4x64 counter-based generator.  Sample chunk c of a run
-with seed s draws from ``Philox(key = s + (c+1) * 2**64)``; chunk
-boundaries are fixed, so serial and parallel evaluation orders produce
-bit-identical results, and identical (samples, seed) always reproduce the
-same estimate.
+with seed s draws from ``Philox(key = s + (c+1) * 2**64)``.  The chunk
+boundaries and this keying fix every draw, and the arithmetic on a chunk
+runs in row blocks that cannot change any result (see ``mc_integral``), so
+identical (samples, seed) always reproduce the same estimate bit for bit.
 
 Working precision is the requested precision plus 10 guard digits (plus
 whatever the coefficient magnitudes require); returned values keep their
@@ -70,6 +70,7 @@ __all__ = [
 ]
 
 _MC_CHUNK = 1 << 16
+_MC_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -365,11 +366,19 @@ def _euler_maclaurin_sum(poly: Poly, r: int, v: int, tau: Fraction) -> tuple[Fra
     K = 8 * radius
     e: list[int] = []
     while True:
-        x = Fraction(radius, K)
+        # the truncation bound is g_max rho**(L+1) K (L+K) / (K**(L+1) (K-rho) L);
+        # compare it with the budget cross-multiplied, in integers
+        rho_pow, k_pow = radius ** (d + 1), K ** (d + 1)
+        upper = g_max.numerator * K
+        lower = g_max.denominator * (K - radius)
         L = d
-        while g_max * x ** (L + 1) * (1 + Fraction(K, L)) / (1 - x) > budget:
+        while upper * budget.denominator * rho_pow * (L + K) > (
+            lower * budget.numerator * k_pow * L
+        ):
             L += 1
-        truncation = g_max * x ** (L + 1) * (1 + Fraction(K, L)) / (1 - x)
+            rho_pow *= radius
+            k_pow *= K
+        truncation = Fraction(upper * rho_pow * (L + K), lower * k_pow * L)
         if len(e) <= L:
             e, den = _moment_expansion(poly, r, v, L)
         scale = den * K**L  # e_i K**-i = U_i / scale
@@ -494,15 +503,37 @@ def _shifted_chebyshev(poly: Poly) -> np.ndarray:
 def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k c_k T_k(2x - 1) at every entry of x, by Clenshaw's recurrence.
 
-    The rounding error is about eps * sum |c_k|, which stays O(1) for
-    polynomials such as P_n whose monomial coefficients are huge and cancel.
+    x is overwritten with the values and returned.  Each step is
+    b1, b2 = c_k + 2y b1 - b2, b1, with 2y formed once; the first step, from
+    b1 = b2 = 0, leaves b1 = c_n and is not run.  The rounding error is about
+    eps * sum |c_k|, which stays O(1) for polynomials such as P_n whose
+    monomial coefficients are huge and cancel.
     """
-    y = 2.0 * x - 1.0
-    b1 = np.zeros_like(y)
-    b2 = np.zeros_like(y)
-    for ck in c[:0:-1]:
-        b1, b2 = ck + 2.0 * y * b1 - b2, b1
-    return c[0] + y * b1 - b2
+    x *= 2.0
+    x -= 1.0  # y = 2x - 1
+    b1 = np.zeros_like(x)
+    b2 = np.zeros_like(x)
+    if len(c) > 1:
+        y2 = 2.0 * x
+        b1.fill(c[-1])
+        t = np.empty_like(x)
+        for ck in c[-2:0:-1]:
+            np.multiply(y2, b1, out=t)
+            t += ck
+            t -= b2
+            b1, b2, t = t, b1, b2
+    x *= b1
+    x += c[0]
+    x -= b2
+    return x
+
+
+def _row_products(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """u.prod(axis=1) bit for bit: the columns multiplied left to right."""
+    out = np.multiply(u[:, 0], u[:, 1], out=out)
+    for k in range(2, u.shape[1]):
+        out *= u[:, k]
+    return out
 
 
 def mc_integral(
@@ -521,6 +552,14 @@ def mc_integral(
     point exactly (product equal to 1, always; product equal to 0 when a
     log power makes the faces singular) are rejected and redrawn from the
     same substream; the count is reported.
+
+    Each chunk of draws is evaluated in blocks of _MC_BLOCK rows, small
+    enough that a block's temporaries stay in cache.  The block size cannot
+    change a result: every operation on a block is elementwise, in the same
+    order as over the whole chunk, and a block starts a multiple of
+    _MC_BLOCK rows into the chunk, so even a vectorized loop sees each
+    element at the same offset and alignment.  The two sums run once per
+    chunk, over the whole chunk's integrand values.
     """
     poly = check_series_args(poly, r, v)
     z = float(z)
@@ -530,6 +569,7 @@ def mc_integral(
         raise ValueError("samples must be >= 10**4")
     cheb = _shifted_chebyshev(poly)
     reject_faces = v >= 1
+    fx = np.empty(min(_MC_CHUNK, samples))
     sums: list[float] = []
     sqs: list[float] = []
     rejected = 0
@@ -539,7 +579,7 @@ def mc_integral(
         m = min(_MC_CHUNK, samples - done)
         rng = _chunk_rng(seed, chunk)
         u = rng.random((m, r))
-        prod = u.prod(axis=1)
+        prod = _row_products(u)
         for _ in range(100):
             bad = prod == 1.0
             if reject_faces:
@@ -549,19 +589,22 @@ def mc_integral(
                 break
             rejected += nbad
             u[bad] = rng.random((nbad, r))
-            prod[bad] = u[bad].prod(axis=1)
+            prod[bad] = _row_products(u[bad])
         else:
             raise RuntimeError("singular-sample rejection did not settle")
-        with np.errstate(divide="ignore"):
-            weight = 1.0 / (1.0 - prod)
-            if v:
-                weight = weight * (-np.log(prod)) ** v
-            if z > 0:
-                weight = weight * prod**z
-        # one fold at a time keeps the temporaries at one column's size
-        fx = weight * math.prod(_clenshaw(cheb, column) for column in u.T)
-        sums.append(float(np.sum(fx)))
-        sqs.append(float(np.sum(fx * fx)))
+        for lo in range(0, m, _MC_BLOCK):
+            hi = min(lo + _MC_BLOCK, m)
+            p = prod[lo:hi]
+            with np.errstate(divide="ignore"):
+                weight = 1.0 / (1.0 - p)
+                if v:
+                    weight *= (-np.log(p)) ** v
+                if z > 0:
+                    weight *= p**z
+            _row_products(_clenshaw(cheb, u[lo:hi]), out=fx[lo:hi])
+            fx[lo:hi] *= weight
+        sums.append(float(np.sum(fx[:m])))
+        sqs.append(float(np.sum(fx[:m] * fx[:m])))
         done += m
         chunk += 1
     s1 = math.fsum(sums)

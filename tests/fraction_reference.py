@@ -16,6 +16,7 @@ by induction N_v shares no root with Q.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -54,11 +55,14 @@ def zeta_rational(j: int, digits: int) -> tuple[Fraction, Fraction]:
     return value, bound
 
 
-def principal_parts(poly: Poly, r: int, v: int) -> dict[tuple[int, int], Fraction]:
-    """{(m, j): c} with G = d^v/ds^v [M**r] = sum c / (s+m)**j."""
+def principal_parts_upto(poly: Poly, r: int, v_max: int) -> list[dict[tuple[int, int], Fraction]]:
+    """[principal_parts(poly, r, v) for v = 0..v_max], from one set of Laurent coefficients.
+
+    Near s = -m, M**r = sum_k ur_k (s+m)**(k-r) + ..., and only the factor
+    (j)_v of the v-th derivative depends on v, so u and u**r are built once.
+    """
     support = [(l + 1, a) for l, a in enumerate(poly.coeffs) if a != 0]
-    sign = -1 if v % 2 else 1
-    parts: dict[tuple[int, int], Fraction] = {}
+    out: list[dict[tuple[int, int], Fraction]] = [{} for _ in range(v_max + 1)]
     for m, a_m in support:
         u = [a_m] + [Fraction(0)] * (r - 1)
         for p, a in support:
@@ -71,11 +75,22 @@ def principal_parts(poly: Poly, r: int, v: int) -> dict[tuple[int, int], Fractio
         ur = [Fraction(1)] + [Fraction(0)] * (r - 1)
         for _ in range(r):
             ur = [sum(ur[i] * u[k - i] for i in range(k + 1)) for k in range(r)]
-        for k, c in enumerate(ur):
-            if c:
-                j = r - k
-                parts[(m, j + v)] = sign * math.prod(range(j, j + v)) * c
-    return parts
+        for v, parts in enumerate(out):
+            sign = -1 if v % 2 else 1
+            for k, c in enumerate(ur):
+                if c:
+                    j = r - k
+                    parts[(m, j + v)] = sign * math.prod(range(j, j + v)) * c
+    return out
+
+
+def principal_parts(poly: Poly, r: int, v: int) -> dict[tuple[int, int], Fraction]:
+    """{(m, j): c} with G = d^v/ds^v [M**r] = sum c / (s+m)**j."""
+    return principal_parts_upto(poly, r, v)[v]
+
+
+# the Legendre grids ask for the same few hundred harmonic sums again and again
+_harmonic = functools.cache(generalized_harmonic)
 
 
 def collapse(parts: dict[tuple[int, int], Fraction], v: int) -> ZetaCombination:
@@ -85,10 +100,10 @@ def collapse(parts: dict[tuple[int, int], Fraction], v: int) -> ZetaCombination:
     constant = Fraction(0)
     for (m, j), c in parts.items():
         if j == 1:
-            constant -= c * generalized_harmonic(m - 1, 1)
+            constant -= c * _harmonic(m - 1, 1)
         else:
             zeta[j] = zeta.get(j, Fraction(0)) + c
-            constant -= c * generalized_harmonic(m - 1, j)
+            constant -= c * _harmonic(m - 1, j)
     return ZetaCombination.make({j: sign * q for j, q in zeta.items()}, sign * constant)
 
 

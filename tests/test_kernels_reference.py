@@ -1,4 +1,9 @@
-"""The integer kernels return exactly what the Fraction references return."""
+"""The fast kernels return exactly what their plain references return.
+
+The integer kernels are checked against the Fraction spellings in
+``fraction_reference``, and the blocked Monte Carlo oracle against the
+one-pass spelling in ``mc_reference``.
+"""
 
 import subprocess
 import sys
@@ -9,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import fraction_reference as ref
+import mc_reference
 from zetalab import (
     Poly,
     decompose,
@@ -18,6 +24,7 @@ from zetalab import (
     legendre_coeffs,
     moment_from_coeffs,
 )
+from zetalab import verify
 from zetalab.decomp import _principal_parts
 from zetalab.verify import (
     _cauchy_bound,
@@ -63,8 +70,7 @@ def test_decompose_and_principal_parts_match_reference_on_legendre_grid():
     for n in range(41):
         poly = legendre_coeffs(n)
         for r in (2, 3, 4):
-            for v in range(4):
-                parts = ref.principal_parts(poly, r, v)
+            for v, parts in enumerate(ref.principal_parts_upto(poly, r, 3)):
                 assert _principal_parts(poly, r, v) == parts, (n, r, v)
                 assert decompose(poly, r, v) == ref.collapse(parts, v), (n, r, v)
 
@@ -177,3 +183,75 @@ def test_inexact_head_division_raises_under_python_O():
     proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert "does not divide the common denominator" in proc.stdout
+
+
+# -- the Monte Carlo oracle, in row blocks, against its one-pass spelling -------
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 30])
+def test_mc_integral_matches_reference_on_legendre_grid(n):
+    poly = legendre_coeffs(n)
+    for r in range(2, 7):
+        for v in range(5):
+            for z in (0.0, 0.5, 1.0):
+                args = (poly, r, v, z, 10**4 + 1, n + r)
+                assert verify.mc_integral(*args) == mc_reference.mc_integral(*args), (r, v, z)
+
+
+@pytest.mark.parametrize("samples", [10**4 + 1, 70001, 131073])
+def test_mc_integral_matches_reference_off_the_block_and_chunk_sizes(samples):
+    # the last block of a chunk, and the last chunk, come up short
+    for n, r, v, z in ((2, 2, 0, 0.0), (1, 2, 1, 0.0), (2, 3, 2, 0.0), (30, 5, 4, 1.0)):
+        args = (legendre_coeffs(n), r, v, z, samples, 3)
+        assert verify.mc_integral(*args) == mc_reference.mc_integral(*args), (n, r, v, z)
+
+
+@settings(max_examples=40)
+@given(
+    coeffs=st.one_of(_dense, _sparse).filter(any),
+    r=st.integers(2, 5),
+    v=st.integers(0, 4),
+    z=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
+    seed=st.integers(0, 2**64 - 1),
+)
+def test_mc_integral_matches_reference_on_random_integer_polys(coeffs, r, v, z, seed):
+    args = (Poly(coeffs), r, v, z, 10**4 + 1, seed)
+    assert verify.mc_integral(*args) == mc_reference.mc_integral(*args)
+
+
+class _PlantedDraws:
+    """A chunk's generator whose first draw carries exact singular points.
+
+    Every seventh row, from row 0, is all 1.0: product 1, always singular.
+    Every seventh row from row 3 starts with 0.0: product 0, singular only
+    under a log power.  The redraws come from the real stream.
+    """
+
+    def __init__(self, rng):
+        self._rng = rng
+        self._first = True
+
+    def random(self, shape):
+        u = self._rng.random(shape)
+        if self._first:
+            self._first = False
+            u[::7] = 1.0
+            u[3::7, 0] = 0.0
+        return u
+
+
+def test_mc_rejection_redraws_singular_samples_like_the_reference(monkeypatch):
+    real = verify._chunk_rng
+    monkeypatch.setattr(
+        verify,
+        "_chunk_rng",
+        lambda seed, chunk: _PlantedDraws(real(seed, chunk)) if chunk == 0 else real(seed, chunk),
+    )
+    m = verify._MC_CHUNK
+    ones, zeros = len(range(0, m, 7)), len(range(3, m, 7))
+    for v in range(4):
+        for z in (0.0, 0.5):
+            args = (legendre_coeffs(1), 3, v, z, 70001, 9)
+            est = verify.mc_integral(*args)
+            assert est.rejected == (ones + zeros if v else ones), (v, z)
+            assert est == mc_reference.mc_integral(*args), (v, z)
