@@ -17,7 +17,7 @@ import mpmath
 
 from zetalab import rationality_criterion
 
-records = rationality_criterion(None, 2, 1, 16, precision=40)
+records = rationality_criterion(2, 1, 16, precision=40)
 
 target = (math.sqrt(2) - 1) ** 4
 print("r=2, v=1 scan (the zeta(3) configuration), 40-digit precision")
@@ -37,7 +37,7 @@ print()
 print("Contrast with r=3, v=2 (the pi^4 / zeta(5) configuration): there the")
 print("needed decay must beat lcm(1..n)^5 ~ e^(5n), and the scan shows the")
 print("scaled values no longer rushing to zero:")
-records52 = rationality_criterion(None, 3, 2, 12, precision=40)
+records52 = rationality_criterion(3, 2, 12, precision=40)
 print()
 print(f"{'n':>2} {'|c(n)|':>14} {'lcm^5 |c|':>14} {'e^5n |c|':>14}")
 for rec in records52:

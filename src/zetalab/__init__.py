@@ -8,19 +8,18 @@ partial fractions.  A certified direct-summation path and a seeded Monte
 Carlo integrator provide two independent checks on every number produced.
 """
 
-from .numtheory import binomial, generalized_harmonic, lcm_upto
 from .polys import Poly, integrate_poly_01, legendre_coeffs
 from .moments import moment_closed_form, moment_from_coeffs
 from .decomp import (
-    CriterionRecord,
     DecompositionReport,
     ZetaCombination,
     apery_report,
     decompose,
     decomposition_report,
-    rationality_criterion,
+    lcm_upto,
 )
 from .verify import (
+    CriterionRecord,
     CrosscheckReport,
     HighPrecisionValue,
     MCEstimate,
@@ -28,6 +27,7 @@ from .verify import (
     direct_sum_value,
     eval_combination,
     mc_integral,
+    rationality_criterion,
     shifted_series_value,
     zeta_value,
 )
@@ -35,9 +35,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "binomial",
-    "generalized_harmonic",
-    "lcm_upto",
     "Poly",
     "integrate_poly_01",
     "legendre_coeffs",
@@ -48,11 +45,12 @@ __all__ = [
     "DecompositionReport",
     "decomposition_report",
     "apery_report",
-    "CriterionRecord",
-    "rationality_criterion",
+    "lcm_upto",
     "HighPrecisionValue",
     "zeta_value",
     "eval_combination",
+    "CriterionRecord",
+    "rationality_criterion",
     "direct_sum_value",
     "MCEstimate",
     "mc_integral",

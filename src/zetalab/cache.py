@@ -26,7 +26,6 @@ from pathlib import Path
 
 from .decomp import ZetaCombination, decompose
 from .polys import Poly
-from .serialize import poly_to_strings
 
 __all__ = ["DecompositionCache"]
 
@@ -34,7 +33,7 @@ FORMAT = 1
 
 
 def _key(poly: Poly, r: int, v: int) -> dict:
-    return {"format": FORMAT, "coeffs": poly_to_strings(poly), "r": r, "v": v}
+    return {"format": FORMAT, "coeffs": [str(c) for c in poly.coeffs], "r": r, "v": v}
 
 
 def _file_name(key: dict) -> str:

@@ -22,11 +22,10 @@ import sys
 import mpmath
 
 from .cache import DecompositionCache
-from .decomp import decompose, decomposition_report, rationality_criterion
+from .decomp import decompose, decomposition_report
 from .polys import Poly, legendre_coeffs
 from .moments import moment_from_coeffs
-from .serialize import poly_to_strings
-from .verify import crosscheck, eval_combination
+from .verify import crosscheck, eval_combination, rationality_criterion
 
 __all__ = ["main"]
 
@@ -89,7 +88,7 @@ def _emit_csv(rows: list[dict]) -> None:
 
 
 def _cmd_poly(args) -> int:
-    coeffs = poly_to_strings(legendre_coeffs(args.n))
+    coeffs = [str(c) for c in legendre_coeffs(args.n).coeffs]
     if args.format == "csv":
         _csv_writer().writerow(coeffs)
     else:
@@ -99,7 +98,10 @@ def _cmd_poly(args) -> int:
 
 def _cmd_moment(args) -> int:
     num, den = moment_from_coeffs(_pick_poly(args)[0])
-    obj = {"numerator": poly_to_strings(num), "denominator": poly_to_strings(den)}
+    obj = {
+        "numerator": [str(c) for c in num.coeffs],
+        "denominator": [str(c) for c in den.coeffs],
+    }
     if args.format == "csv":
         _emit_csv([{"part": part, "coefficients": c} for part, c in obj.items()])
     else:
@@ -123,14 +125,7 @@ def _cmd_value(args) -> int:
     poly, n = _pick_poly(args)
     combo = _decomposer(args)(poly, args.r, args.v)
     hp = eval_combination(combo, args.prec)
-    obj = {
-        "n": n,
-        "r": args.r,
-        "v": args.v,
-        "precision": args.prec,
-        "value": mpmath.nstr(hp.value, args.prec),
-        "error_bound": mpmath.nstr(hp.error_bound, 8),
-    }
+    obj = {"n": n, "r": args.r, "v": args.v, "precision": args.prec, **hp.to_json_dict()}
     if args.format == "csv":
         _emit_csv([obj])
     else:
@@ -148,7 +143,7 @@ def _cmd_scan(args) -> int:
                 print(f"scan: n={n}/{top} done", file=sys.stderr)
 
     records = rationality_criterion(
-        None, args.r, args.v, args.n_max, args.prec, progress, decomposer=_decomposer(args)
+        args.r, args.v, args.n_max, args.prec, progress, decomposer=_decomposer(args)
     )
 
     def fmt(x):
@@ -184,9 +179,9 @@ def _cmd_verify(args) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_rv(p, required=True):
-    p.add_argument("--r", type=int, required=required, help="number of integral folds (>= 2)")
-    p.add_argument("--v", type=int, required=required, help="log-weight power (>= 0)")
+def _add_rv(p):
+    p.add_argument("--r", type=int, required=True, help="number of integral folds (>= 2)")
+    p.add_argument("--v", type=int, required=True, help="log-weight power (>= 0)")
 
 
 def _add_poly_selection(p):
@@ -268,6 +263,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # Exact results run past the 4300-digit int<->str limit of Python
+    # 3.10.7+; this process converts only its own integers, its arguments
+    # and its local cache files, so it lifts the limit (older Pythons have
+    # neither the limit nor the setter).
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:

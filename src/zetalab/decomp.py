@@ -1,5 +1,9 @@
 """Collapse the summed series into exact zeta-value combinations.
 
+The top of the exact layer (``polys`` -> ``moments`` -> ``decomp``): every
+number here is an int or a Fraction, and nothing here imports the numeric
+layer (``verify``, mpmath, numpy).  Rationals serialize as str(Fraction).
+
 ``decompose`` turns sum_{k>=0} G(k), G = d^v/ds^v [M(s)**r], into
 sum_j q_j * zeta(j) + q_0  with exact rational q's, via the partial
 fractions of G.  They come straight from the moment: M(s) = sum_l
@@ -35,22 +39,26 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Mapping
 
 from .moments import check_series_args
-from .numtheory import lcm_upto
 from .polys import Poly, legendre_coeffs
-from .serialize import format_fraction, parse_fraction
 
 __all__ = [
+    "lcm_upto",
     "ZetaCombination",
     "decompose",
     "DecompositionReport",
     "decomposition_report",
     "apery_report",
-    "CriterionRecord",
-    "rationality_criterion",
 ]
+
+
+def lcm_upto(n: int) -> int:
+    """lcm(1, 2, ..., n), with the empty/singleton range (n <= 1) giving 1."""
+    if n < 0:
+        raise ValueError("lcm_upto requires n >= 0")
+    return math.lcm(*range(1, n + 1))
 
 
 @dataclass(frozen=True)
@@ -96,15 +104,24 @@ class ZetaCombination:
         return math.lcm(self.constant.denominator, *(q.denominator for _, q in self.zeta))
 
     def to_json_dict(self) -> dict:
+        """Rationals as str(Fraction): "p/q" in lowest terms, "p" when q = 1."""
         return {
-            "zeta": {str(j): format_fraction(q) for j, q in self.zeta},
-            "constant": format_fraction(self.constant),
+            "zeta": {str(j): str(q) for j, q in self.zeta},
+            "constant": str(self.constant),
         }
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ZetaCombination":
-        zeta = {int(j): parse_fraction(q) for j, q in data["zeta"].items()}
-        return cls.make(zeta, parse_fraction(data["constant"]))
+        """Inverse of to_json_dict.  The input may come from a file on disk,
+        so a rational that is not a string (a JSON number) raises TypeError."""
+
+        def rational(text) -> Fraction:
+            if not isinstance(text, str):
+                raise TypeError(f"a rational must be a string, not {type(text).__name__}")
+            return Fraction(text)
+
+        zeta = {int(j): rational(q) for j, q in data["zeta"].items()}
+        return cls.make(zeta, rational(data["constant"]))
 
 
 def _principal_numerators(poly: Poly, r: int, v: int) -> tuple[dict[tuple[int, int], int], int]:
@@ -232,7 +249,7 @@ class DecompositionReport:
             "v": self.v,
             "zeta": d["zeta"],
             "constant": d["constant"],
-            "A": format_fraction(self.A) if self.A is not None else None,
+            "A": str(self.A) if self.A is not None else None,
             "B": str(self.B) if self.B is not None else None,
             "G": str(self.G) if self.G is not None else None,
             "D": str(self.D),
@@ -302,83 +319,3 @@ def decomposition_report(
 def apery_report(n: int, r: int, v: int) -> DecompositionReport:
     """Report for the shifted-Legendre family member of degree n."""
     return decomposition_report(legendre_coeffs(n), r, v, n=n)
-
-
-@dataclass(frozen=True)
-class CriterionRecord:
-    """Smallness data for one n: the quantities the criterion scans watch.
-
-    abs_c is |c_v(n)| to the requested precision; lcm_scaled multiplies by
-    lcm(1..n)**(r+v) (the exact integer is kept in lcm_pow); exp_scaled
-    multiplies by e**((r+v)n).  ratio_to_prev is |c(n)/c(n-1)|, absent for
-    the first record.
-    """
-
-    n: int
-    abs_c: object  # mpmath.mpf
-    lcm_pow: int
-    lcm_scaled: object
-    exp_scaled: object
-    ratio_to_prev: object | None
-
-
-def rationality_criterion(
-    poly_family: Callable[[int], Poly] | None,
-    r: int,
-    v: int,
-    n_max: int,
-    precision: int = 30,
-    progress: Callable[[int], None] | None = None,
-    decomposer: Callable[[Poly, int, int], ZetaCombination] | None = None,
-) -> list[CriterionRecord]:
-    """Criterion records for n = 0..n_max, exact pipeline + certified zeta.
-
-    |c_v(n)| comes from the exact decomposition evaluated with certified
-    high-precision zeta values (never raw series summation).  The working
-    precision is raised internally to absorb the size of the cleared
-    coefficients, so cancellation between huge q_j's does not eat the
-    requested digits.  Output is deterministic and ordered by n.
-
-    `decomposer` lets callers route through a cache; it must be
-    extensionally equal to `decompose`.
-    """
-    from .verify import eval_combination  # late import; verify builds on decomp
-
-    import mpmath
-
-    if n_max < 0:
-        raise ValueError("n_max must be >= 0")
-    if precision < 10:
-        raise ValueError("precision must be >= 10")
-    if poly_family is None:
-        poly_family = legendre_coeffs
-    if decomposer is None:
-        decomposer = decompose
-    records: list[CriterionRecord] = []
-    prev_abs = None
-    pole_power = r + v
-    for n in range(n_max + 1):
-        combo = decomposer(poly_family(n), r, v)
-        value = eval_combination(combo, precision)
-        with mpmath.workdps(precision + 10):
-            abs_c = abs(value.value)
-            lcm_pow = lcm_upto(n) ** pole_power
-            lcm_scaled = mpmath.mpf(lcm_pow) * abs_c
-            exp_scaled = mpmath.exp(pole_power * n) * abs_c
-            ratio = None
-            if prev_abs is not None and prev_abs > 0:
-                ratio = abs_c / prev_abs
-        records.append(
-            CriterionRecord(
-                n=n,
-                abs_c=abs_c,
-                lcm_pow=lcm_pow,
-                lcm_scaled=lcm_scaled,
-                exp_scaled=exp_scaled,
-                ratio_to_prev=ratio,
-            )
-        )
-        prev_abs = abs_c
-        if progress is not None:
-            progress(n)
-    return records

@@ -12,8 +12,6 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .numtheory import binomial
-
 __all__ = ["Poly", "legendre_coeffs", "integrate_poly_01"]
 
 RationalLike = int | Fraction
@@ -138,7 +136,7 @@ def legendre_coeffs(n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return Poly([(-1) ** l * binomial(n, l) * binomial(n + l, l) for l in range(n + 1)])
+    return Poly([(-1) ** l * math.comb(n, l) * math.comb(n + l, l) for l in range(n + 1)])
 
 
 def integrate_poly_01(p: Poly | Sequence[RationalLike]) -> Fraction:

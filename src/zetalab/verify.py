@@ -1,5 +1,9 @@
 """High-precision numeric layer: certified zeta values, direct summation,
-and a reproducible Monte Carlo oracle for the r-fold integrals.
+and a reproducible Monte Carlo oracle for the r-fold integrals, plus the
+criterion scan (``rationality_criterion``), which evaluates the exact
+decompositions of the Legendre family at certified precision.  This layer
+builds on the exact one (``polys``, ``moments``, ``decomp``), which never
+imports it.
 
 Three independent evaluation paths cross-check each other:
 
@@ -47,20 +51,22 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import mpmath
 import numpy as np
 from mpmath import mpf
 
-from .decomp import ZetaCombination, decompose
+from .decomp import ZetaCombination, decompose, lcm_upto
 from .moments import check_series_args
-from .numtheory import lcm_upto
-from .polys import Poly
+from .polys import Poly, legendre_coeffs
 
 __all__ = [
     "HighPrecisionValue",
     "zeta_value",
     "eval_combination",
+    "CriterionRecord",
+    "rationality_criterion",
     "direct_sum_value",
     "MCEstimate",
     "mc_integral",
@@ -233,6 +239,79 @@ def eval_combination(combo: ZetaCombination, precision: int = 30) -> HighPrecisi
             err += abs(qv) * z.error_bound
         err += (4 * len(combo.zeta) + 6) * eps * (envelope + 1)
     return HighPrecisionValue(value=total, error_bound=err, dps=precision)
+
+
+@dataclass(frozen=True)
+class CriterionRecord:
+    """Smallness data for one n: the quantities the criterion scans watch.
+
+    abs_c is |c_v(n)| to the requested precision; lcm_scaled multiplies by
+    lcm(1..n)**(r+v) (the exact integer is kept in lcm_pow); exp_scaled
+    multiplies by e**((r+v)n).  ratio_to_prev is |c(n)/c(n-1)|, absent for
+    the first record.
+    """
+
+    n: int
+    abs_c: object  # mpmath.mpf
+    lcm_pow: int
+    lcm_scaled: object
+    exp_scaled: object
+    ratio_to_prev: object | None
+
+
+def rationality_criterion(
+    r: int,
+    v: int,
+    n_max: int,
+    precision: int = 30,
+    progress: Callable[[int], None] | None = None,
+    decomposer: Callable[[Poly, int, int], ZetaCombination] | None = None,
+) -> list[CriterionRecord]:
+    """Criterion records for the shifted-Legendre family at n = 0..n_max.
+
+    |c_v(n)| comes from the exact decomposition evaluated with certified
+    high-precision zeta values (never raw series summation).  The working
+    precision is raised internally to absorb the size of the cleared
+    coefficients, so cancellation between huge q_j's does not eat the
+    requested digits.  Output is deterministic and ordered by n.
+
+    `decomposer` lets callers route through a cache; it must be
+    extensionally equal to `decompose`.
+    """
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
+    if precision < 10:
+        raise ValueError("precision must be >= 10")
+    if decomposer is None:
+        decomposer = decompose
+    records: list[CriterionRecord] = []
+    prev_abs = None
+    pole_power = r + v
+    for n in range(n_max + 1):
+        combo = decomposer(legendre_coeffs(n), r, v)
+        value = eval_combination(combo, precision)
+        with mpmath.workdps(precision + 10):
+            abs_c = abs(value.value)
+            lcm_pow = lcm_upto(n) ** pole_power
+            lcm_scaled = mpmath.mpf(lcm_pow) * abs_c
+            exp_scaled = mpmath.exp(pole_power * n) * abs_c
+            ratio = None
+            if prev_abs is not None and prev_abs > 0:
+                ratio = abs_c / prev_abs
+        records.append(
+            CriterionRecord(
+                n=n,
+                abs_c=abs_c,
+                lcm_pow=lcm_pow,
+                lcm_scaled=lcm_scaled,
+                exp_scaled=exp_scaled,
+                ratio_to_prev=ratio,
+            )
+        )
+        prev_abs = abs_c
+        if progress is not None:
+            progress(n)
+    return records
 
 
 # ---------------------------------------------------------------------------

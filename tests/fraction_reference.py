@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from zetalab import Poly, ZetaCombination, generalized_harmonic, moment_from_coeffs
+from zetalab import Poly, ZetaCombination, moment_from_coeffs
 from zetalab.moments import check_series_args
 
 
@@ -87,6 +87,18 @@ def principal_parts_upto(poly: Poly, r: int, v_max: int) -> list[dict[tuple[int,
 def principal_parts(poly: Poly, r: int, v: int) -> dict[tuple[int, int], Fraction]:
     """{(m, j): c} with G = d^v/ds^v [M**r] = sum c / (s+m)**j."""
     return principal_parts_upto(poly, r, v)[v]
+
+
+def generalized_harmonic(m: int, j: int) -> Fraction:
+    """Exact sum of 1/t**j for t = 1..m; zero for m = 0."""
+    if m < 0:
+        raise ValueError("generalized_harmonic requires m >= 0")
+    if j < 1:
+        raise ValueError("generalized_harmonic requires j >= 1")
+    total = Fraction(0)
+    for t in range(1, m + 1):
+        total += Fraction(1, t**j)
+    return total
 
 
 # the Legendre grids ask for the same few hundred harmonic sums again and again

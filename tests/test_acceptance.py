@@ -149,7 +149,7 @@ def test_criterion_6_orthogonality_regression():
 
 
 def test_criterion_7_criterion_scan_sanity():
-    records = rationality_criterion(None, 2, 1, 20, 50)
+    records = rationality_criterion(2, 1, 20, 50)
     abs_c = [rec.abs_c for rec in records]
     for n in range(2, 20):
         assert abs_c[n] > abs_c[n + 1], (

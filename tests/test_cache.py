@@ -47,7 +47,10 @@ def test_cache_skips_and_drops_lines_of_the_wrong_shape(tmp_path: Path, capsys):
     (entry,) = path.iterdir()
     good = entry.read_text()
     bad = ['{}', '[1]', '{"key": 1}', '{"key": 1, "combo": {"zeta": [], "constant": "1"}}',
-           '{"key": 1, "combo": {"zeta": {}, "constant": "1/0"}}']
+           '{"key": 1, "combo": {"zeta": {}, "constant": "1/0"}}',
+           # rationals on disk are strings; a JSON number is not an entry
+           '{"key": 1, "combo": {"zeta": {"2": 1}, "constant": "1"}}',
+           '{"key": 1, "combo": {"zeta": {}, "constant": 0.5}}']
     for payload in bad:
         entry.write_text(payload + "\n")
         assert DecompositionCache(path).get(poly, 2, 1) is None

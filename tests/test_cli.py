@@ -10,7 +10,6 @@ import pytest
 from zetalab import Poly, crosscheck, decompose, legendre_coeffs, moment_closed_form
 from zetalab.cache import DecompositionCache
 from zetalab.cli import main
-from zetalab.serialize import poly_to_strings
 
 
 def run_cli(args, **kw):
@@ -46,7 +45,10 @@ def test_moment_json(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj == {"numerator": ["0", "-1"], "denominator": ["2", "3", "1"]}
     num, den = moment_closed_form(1)
-    assert obj == {"numerator": poly_to_strings(num), "denominator": poly_to_strings(den)}
+    assert obj == {
+        "numerator": [str(c) for c in num.coeffs],
+        "denominator": [str(c) for c in den.coeffs],
+    }
 
 
 def test_decompose_json(capsys):
@@ -345,6 +347,26 @@ def test_cli_imports_no_lock_or_hash_module():
     code = "import sys, zetalab.cli; print(sorted({'fcntl', 'hashlib'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+def test_results_wider_than_4300_digits_print_and_round_trip_the_cache(tmp_path: Path):
+    # R = 1 + 10**2200 x: the r = 2 coefficients run to about 4400 digits,
+    # past the default int <-> str limit of Python 3.10.7+.  Only the CLI
+    # lifts that limit, so this process compares strings, never ints.
+    argv = ["decompose", "--coeffs=1,1" + "0" * 2200, "--r", "2", "--v", "0"]
+    cache = tmp_path / "c"
+    miss, hit = run_cli([*argv, "--cache", str(cache)]), run_cli([*argv, "--cache", str(cache)])
+    for proc in (miss, hit):
+        assert proc.returncode == 0 and proc.stderr == ""
+    assert hit.stdout == miss.stdout
+    report = json.loads(miss.stdout)
+    assert max(map(len, report["zeta"].values())) > 4300
+    (entry,) = cache.iterdir()
+    stored = json.loads(entry.read_text())["combo"]
+    assert stored == {"zeta": report["zeta"], "constant": report["constant"]}
+    value = run_cli(["value", *argv[1:], "--cache", str(cache)])
+    assert value.returncode == 0 and value.stderr == ""
+    assert json.loads(value.stdout)["precision"] == 30
 
 
 def test_cache_value_consistency(tmp_path: Path, capsys):

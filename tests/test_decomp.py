@@ -1,4 +1,7 @@
 import json
+import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -259,18 +262,18 @@ def test_combination_canonical_and_roundtrip():
 
 
 def test_rationality_criterion_n0_rows():
-    recs = rationality_criterion(None, 3, 2, 0, 20)
+    recs = rationality_criterion(3, 2, 0, 20)
     assert len(recs) == 1
     with mpmath.workdps(25):
         assert abs(recs[0].abs_c - 12 * mpmath.zeta(5)) < mpmath.mpf("1e-15")
     assert recs[0].ratio_to_prev is None
-    recs = rationality_criterion(None, 2, 1, 0, 20)
+    recs = rationality_criterion(2, 1, 0, 20)
     with mpmath.workdps(25):
         assert abs(recs[0].abs_c - 2 * mpmath.zeta(3)) < mpmath.mpf("1e-15")
 
 
 def test_rationality_criterion_ratio_definition():
-    recs = rationality_criterion(None, 3, 2, 1, 20)
+    recs = rationality_criterion(3, 2, 1, 20)
     with mpmath.workdps(25):
         expected = recs[1].abs_c / recs[0].abs_c
         assert abs(recs[1].ratio_to_prev - expected) < mpmath.mpf("1e-18")
@@ -279,6 +282,41 @@ def test_rationality_criterion_ratio_definition():
 
 def test_rationality_criterion_validation():
     with pytest.raises(ValueError):
-        rationality_criterion(None, 2, 1, -1, 20)
+        rationality_criterion(2, 1, -1, 20)
     with pytest.raises(ValueError):
-        rationality_criterion(None, 2, 1, 2, 5)
+        rationality_criterion(2, 1, 2, 5)
+
+
+def pairwise_lcm(n):
+    """Independent oracle: fold with gcd identity lcm(a,b) = a*b/gcd."""
+    out = 1
+    for m in range(1, n + 1):
+        out = out * m // math.gcd(out, m)
+    return out
+
+
+def test_lcm_upto_examples():
+    assert lcm_upto(0) == 1
+    assert lcm_upto(1) == 1
+    assert lcm_upto(6) == 60
+    assert lcm_upto(10) == 2520
+    for n in range(0, 40):
+        assert lcm_upto(n) == pairwise_lcm(n)
+    with pytest.raises(ValueError):
+        lcm_upto(-1)
+
+
+def test_exact_layer_imports_no_numeric_module():
+    # the package __init__ re-exports the numeric layer too, so decomp is
+    # imported under an empty stand-in for the package: what lands in
+    # sys.modules is then what decomp and the modules below it import
+    code = (
+        "import importlib.util, sys, types\n"
+        "pkg = types.ModuleType('zetalab')\n"
+        "pkg.__path__ = importlib.util.find_spec('zetalab').submodule_search_locations\n"
+        "sys.modules['zetalab'] = pkg\n"
+        "import zetalab.decomp\n"
+        "print(sorted({'mpmath', 'numpy', 'zetalab.verify'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr

@@ -35,6 +35,21 @@ from zetalab.verify import (
 )
 
 
+def test_generalized_harmonic_examples():
+    assert ref.generalized_harmonic(0, 2) == 0
+    assert ref.generalized_harmonic(3, 2) == Fraction(49, 36)
+    assert ref.generalized_harmonic(3, 1) == Fraction(11, 6)
+    assert ref.generalized_harmonic(0, 1) == 0
+    assert ref.generalized_harmonic(4, 1) == Fraction(25, 12)
+
+
+def test_generalized_harmonic_rejects_bad_args():
+    with pytest.raises(ValueError):
+        ref.generalized_harmonic(-1, 2)
+    with pytest.raises(ValueError):
+        ref.generalized_harmonic(3, 0)
+
+
 def test_chebyshev_weights_match_reference():
     for n in range(1, 120):
         assert _chebyshev_weights(n) == ref.chebyshev_weights(n)

@@ -1,8 +1,9 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from zetalab import Poly, binomial, integrate_poly_01, legendre_coeffs
+from zetalab import Poly, integrate_poly_01, legendre_coeffs
 
 
 def rodrigues_coeffs(n):
@@ -13,7 +14,7 @@ def rodrigues_coeffs(n):
     # x**n * (1-x)**n = sum_k (-1)**k C(n,k) x**(n+k)
     coeffs = [0] * (2 * n + 1)
     for k in range(n + 1):
-        coeffs[n + k] = (-1) ** k * binomial(n, k)
+        coeffs[n + k] = (-1) ** k * math.comb(n, k)
     for _ in range(n):
         coeffs = [i * c for i, c in enumerate(coeffs)][1:]
     fact = 1
