@@ -13,11 +13,12 @@ writers of one key (who write the same content) need no lock.  Entries
 are not fsynced, so a power loss can leave one cut short.  A file that
 does not parse as an entry (cut short, not UTF-8, of the wrong shape) is
 a miss with a warning on stderr; the recomputed entry replaces it, so the
-warning comes once.
+warning comes once.  Entries wider than 4300 digits round-trip too.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import sys
@@ -30,6 +31,24 @@ from .polys import Poly
 __all__ = ["DecompositionCache"]
 
 FORMAT = 1
+
+
+def _wide_int_strings(func):
+    """func with Python's int<->str digit limit (4300 by default, 3.10.7+)
+    lifted while it runs, and the caller's limit restored after it."""
+
+    @functools.wraps(func)
+    def lifted(*args, **kwargs):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            return func(*args, **kwargs)
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+    return lifted
 
 
 def _key(poly: Poly, r: int, v: int) -> dict:
@@ -45,6 +64,7 @@ class DecompositionCache:
     def __init__(self, path: str | Path):
         self.path = Path(path)
 
+    @_wide_int_strings
     def get(self, poly: Poly, r: int, v: int) -> ZetaCombination | None:
         key = _key(poly, r, v)
         entry = self.path / _file_name(key)
@@ -58,6 +78,7 @@ class DecompositionCache:
             return None
         return combo if found == key else None
 
+    @_wide_int_strings
     def put(self, poly: Poly, r: int, v: int, combo: ZetaCombination) -> None:
         key = _key(poly, r, v)
         entry = self.path / _file_name(key)

@@ -21,7 +21,7 @@ import sys
 
 import mpmath
 
-from .cache import DecompositionCache
+from .cache import DecompositionCache, _wide_int_strings
 from .decomp import decompose, decomposition_report
 from .polys import Poly, legendre_coeffs
 from .moments import moment_from_coeffs
@@ -262,13 +262,8 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@_wide_int_strings  # exact results run past the 4300-digit int<->str limit
 def main(argv=None) -> int:
-    # Exact results run past the 4300-digit int<->str limit of Python
-    # 3.10.7+; this process converts only its own integers, its arguments
-    # and its local cache files, so it lifts the limit (older Pythons have
-    # neither the limit nor the setter).
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     ap = _build_parser()
     args = ap.parse_args(argv)
     try:

@@ -39,10 +39,10 @@ boundaries and this keying fix every draw, and the arithmetic on a chunk
 runs in row blocks that cannot change any result (see ``mc_integral``), so
 identical (samples, seed) always reproduce the same estimate bit for bit.
 
-Working precision is the requested precision plus 10 guard digits (plus
-whatever the coefficient magnitudes require); returned values keep their
-guard digits and every conversion/rounding step is absorbed into the
-certified error bound.
+Zeta values and their combinations run in mpf at the requested precision
+plus 10 guard digits (plus what the coefficients' size requires), and a
+budget term in the bound covers each rounding.  The direct sum is rounded
+once, outward (``_outward``); ``crosscheck`` compares exact enclosures.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from typing import Callable
 import mpmath
 import numpy as np
 from mpmath import mpf
+from mpmath.libmp import dps_to_prec, from_rational, to_rational
 
 from .decomp import ZetaCombination, decompose, lcm_upto
 from .moments import check_series_args
@@ -97,6 +98,21 @@ class HighPrecisionValue:
 
 def _fraction_to_mpf(x: Fraction):
     return mpf(x.numerator) / mpf(x.denominator)
+
+
+def _mpf_to_fraction(x) -> Fraction:
+    """The exact value of a finite mpf."""
+    return Fraction(*to_rational(x._mpf_))
+
+
+def _outward(mid: Fraction, rad: Fraction, dps: int) -> HighPrecisionValue:
+    """mid +- rad at dps digits: the midpoint rounded to nearest once, the
+    radius widened by that exact rounding error and then rounded up."""
+    prec = dps_to_prec(dps)
+    value = mpmath.mp.make_mpf(from_rational(mid.numerator, mid.denominator, prec, "n"))
+    rad += abs(mid - _mpf_to_fraction(value))
+    bound = mpmath.mp.make_mpf(from_rational(rad.numerator, rad.denominator, prec, "u"))
+    return HighPrecisionValue(value=value, error_bound=bound, dps=dps)
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +514,7 @@ def _direct_sum(poly: Poly, r: int, v: int, tau: Fraction) -> tuple[HighPrecisio
     total, bound, K = _euler_maclaurin_sum(poly, r, v, tau)
     sign = -1 if v % 2 else 1
     out_dps = max(15, _magnitude_digits(1 / bound) + _magnitude_digits(abs(total)) + 5)
-    with mpmath.workdps(out_dps):
-        val = _fraction_to_mpf(sign * total)
-        err = _fraction_to_mpf(bound) * (1 + mpf(10) ** -8) + abs(val) * mpf(10) ** (
-            1 - out_dps
-        )
-    return HighPrecisionValue(value=val, error_bound=err, dps=out_dps), K
+    return _outward(sign * total, bound, out_dps), K
 
 
 def direct_sum_value(poly: Poly, r: int, v: int, target_error) -> HighPrecisionValue:
@@ -728,10 +739,14 @@ class CrosscheckReport:
 
     @property
     def verified_digits(self) -> int:
-        """Decimal digits the exact and direct enclosures certify together."""
-        with mpmath.workdps(20):
-            total = self.exact.error_bound + self.direct.error_bound
-            return int(mpmath.floor(-mpmath.log10(total)))
+        """Decimal digits the exact and direct enclosures certify together:
+        the largest d with exact.error_bound + direct.error_bound <= 10**-d."""
+        total = _mpf_to_fraction(self.exact.error_bound) + _mpf_to_fraction(self.direct.error_bound)
+        # the float logarithms are off by far less than one digit: start below, step up exactly
+        d = math.floor(math.log10(total.denominator) - math.log10(total.numerator)) - 1
+        while total <= Fraction(1, 10) ** (d + 1):
+            d += 1
+        return d
 
     def to_json_dict(self) -> dict:
         return {
@@ -770,12 +785,13 @@ def crosscheck(
     target = Fraction(1, 10**precision)
     direct, direct_K = _direct_sum(poly, r, v, target)
     mc = mc_integral(poly, r, v, 0.0, samples, seed)
-    with mpmath.workdps(precision + 10):
-        d1 = abs(exact.value - direct.value)
-        ok1 = d1 <= exact.error_bound + direct.error_bound
-        ok1 = ok1 and direct.error_bound <= _fraction_to_mpf(target)
-        d2 = abs(exact.value - mpf(mc.mean))
-        ok2 = d2 <= 4 * mpf(mc.stderr)
+    exact_value = _mpf_to_fraction(exact.value)
+    direct_bound = _mpf_to_fraction(direct.error_bound)
+    gap = abs(exact_value - _mpf_to_fraction(direct.value))
+    ok1 = direct_bound <= target and gap <= _mpf_to_fraction(exact.error_bound) + direct_bound
+    # an estimate that overflowed float64 confirms nothing
+    ok2 = math.isfinite(mc.mean) and math.isfinite(mc.stderr)
+    ok2 = ok2 and abs(exact_value - Fraction(mc.mean)) <= 4 * Fraction(mc.stderr)
     return CrosscheckReport(
         r=r,
         v=v,
@@ -784,8 +800,8 @@ def crosscheck(
         direct=direct,
         direct_K=direct_K,
         mc=mc,
-        exact_vs_direct_ok=bool(ok1),
-        exact_vs_mc_ok=bool(ok2),
+        exact_vs_direct_ok=ok1,
+        exact_vs_mc_ok=ok2,
     )
 
 
@@ -793,16 +809,11 @@ def shifted_series_value(poly: Poly, r: int, z: int, precision: int = 30) -> Hig
     """Exact value of sum_{k>=0} M(z+k)**r for integer z >= 0.
 
     Shifting the series start keeps everything exact: the value is the
-    full decomposition value minus the first z exact terms.
+    full decomposition with the first z exact terms taken off its constant.
     """
     if z < 0 or int(z) != z:
         raise ValueError("z must be a nonnegative integer here")
     poly = check_series_args(poly, r, 0)
-    full = eval_combination(decompose(poly, r, 0), precision)
-    if z == 0:
-        return full
+    combo = decompose(poly, r, 0)
     head = _head_sum(poly, r, 0, int(z))
-    with mpmath.workdps(full.dps + 10):
-        val = full.value - _fraction_to_mpf(head)
-        err = full.error_bound + abs(val) * mpf(10) ** (1 - full.dps)
-    return HighPrecisionValue(value=val, error_bound=err, dps=full.dps)
+    return eval_combination(ZetaCombination(combo.zeta, combo.constant - head), precision)

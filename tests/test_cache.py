@@ -1,5 +1,7 @@
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -102,3 +104,24 @@ def test_cache_entry_mode_follows_umask(tmp_path: Path):
         os.umask(old)
     (entry,) = (tmp_path / "c").iterdir()
     assert stat.S_IMODE(entry.stat().st_mode) == 0o644
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int<->str digit limit before 3.10.7"
+)
+def test_entries_wider_than_4300_digits_round_trip_outside_the_cli(tmp_path: Path):
+    # a fresh interpreter, so the limit is the one the script sets and not
+    # whatever earlier tests left in this process; 4321 is below the ~4400
+    # digits of the r = 2 coefficients, and must be back in place after
+    script = f"""
+import sys
+from zetalab.cache import DecompositionCache
+from zetalab.polys import Poly
+sys.set_int_max_str_digits(4321)
+poly = Poly([1, 10**2200])
+combo = DecompositionCache({str(tmp_path)!r}).decompose(poly, 2, 0)
+assert DecompositionCache({str(tmp_path)!r}).get(poly, 2, 0) == combo
+assert sys.get_int_max_str_digits() == 4321
+"""
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-500:]

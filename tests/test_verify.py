@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from fraction_reference import build_summand, series_partial_sum, tail_bound
 from zetalab import (
+    CrosscheckReport,
+    HighPrecisionValue,
+    MCEstimate,
     Poly,
     ZetaCombination,
     crosscheck,
@@ -19,6 +22,7 @@ from zetalab import (
     shifted_series_value,
     zeta_value,
 )
+from zetalab import verify
 from zetalab.verify import _clenshaw, _direct_sum, _euler_maclaurin_sum, _shifted_chebyshev
 
 
@@ -118,8 +122,9 @@ def test_direct_sum_p0_r3_v2():
         assert d.error_bound <= mpmath.mpf("1e-12")
 
 
-def test_direct_sum_slow_decay_float64_tier():
-    # needs ~2e8 terms; exercised through the certified float64 tier
+def test_direct_sum_slow_decay_to_1e_8():
+    # 1/k**2 summed term by term would need ~1e8 terms for 1e-8; the exact
+    # head plus the Euler-Maclaurin tail reaches it from a few dozen
     d = direct_sum_value(legendre_coeffs(0), 2, 0, Fraction(1, 10**8))
     with mpmath.workdps(30):
         ref = mpmath.zeta(2)
@@ -332,6 +337,73 @@ def test_crosscheck_report_payload():
     import json
 
     json.dumps(obj)
+
+
+def _report_with_bounds(exact_bound, direct_bound) -> CrosscheckReport:
+    def hv(bound):
+        return HighPrecisionValue(value=mpmath.mpf(0), error_bound=bound, dps=30)
+
+    mc = MCEstimate(mean=0.0, stderr=1.0, samples=10**4, seed=0, rejected=0)
+    return CrosscheckReport(2, 0, 30, hv(exact_bound), hv(direct_bound), 1, mc, True, True)
+
+
+def test_verified_digits_are_the_digits_the_bounds_certify():
+    # bounds that sum to 1e-30 (1 + 1e-20) certify 29 digits, not 30: the
+    # count must not round the sum to a power of ten
+    with mpmath.workdps(80):
+        cases = [
+            (mpmath.mpf(10) ** -30 * (1 + mpmath.mpf(10) ** -20), 29),
+            (mpmath.mpf(10) ** -30 * (1 - mpmath.mpf(10) ** -20), 30),
+            (mpmath.mpf(2) ** -100, 30),
+            (mpmath.mpf(1), 0),
+            (mpmath.mpf(20), -2),
+        ]
+        for total, digits in cases:
+            rep = _report_with_bounds(total / 2, total / 2)
+            assert rep.verified_digits == digits, (total, digits)
+
+
+def test_crosscheck_direct_enclosure_touching_passes_one_ulp_short_fails(monkeypatch):
+    # the direct radius exactly closes the gap |exact - direct| left by the
+    # exact radius; one ulp less must fail, however small that ulp
+    poly, r, v = legendre_coeffs(1), 2, 1
+    exact = eval_combination(decompose(poly, r, v), 30)
+    with mpmath.workprec(400):
+        gap = mpmath.mpf(2) ** -110
+        direct_value = exact.value + gap
+        touching = gap - exact.error_bound
+        man, exp = touching.man_exp
+        short = mpmath.mpf((man - 1, exp))
+    assert _exact(direct_value) - _exact(exact.value) == _exact(gap)
+    assert _exact(touching) + _exact(exact.error_bound) == _exact(gap)
+    for radius, ok in ((touching, True), (short, False)):
+        direct = HighPrecisionValue(value=direct_value, error_bound=radius, dps=40)
+        monkeypatch.setattr(verify, "_direct_sum", lambda *args, d=direct: (d, 7))
+        rep = crosscheck(poly, r, v, precision=30, samples=10**4, seed=1)
+        assert rep.exact_vs_direct_ok is ok
+
+
+def test_crosscheck_reports_an_overflowed_monte_carlo_estimate_as_unconfirmed(monkeypatch):
+    # with R = 1 + 1e200 x the sampled integrand overflows float64 and the
+    # mean is inf; a non-finite estimate confirms nothing, and the report
+    # still comes back
+    inf = float("inf")
+    for mean, stderr in ((inf, 0.0), (0.0, inf), (float("nan"), 1.0)):
+        est = MCEstimate(mean=mean, stderr=stderr, samples=10**4, seed=1, rejected=0)
+        monkeypatch.setattr(verify, "mc_integral", lambda *args, est=est: est)
+        rep = crosscheck(legendre_coeffs(1), 2, 1, precision=30, samples=10**4, seed=1)
+        assert rep.exact_vs_direct_ok
+        assert not rep.exact_vs_mc_ok
+
+
+def test_shifted_series_value_encloses_the_shifted_zeta_series():
+    # sum_{k>=0} 1/(k+z+1)**2 = zeta(2) - H_z^(2), certified to the precision asked
+    with mpmath.workdps(80):
+        for z in (0, 1, 5):
+            sv = shifted_series_value(legendre_coeffs(0), 2, z, 40)
+            truth = mpmath.zeta(2) - sum(mpmath.mpf(1) / k**2 for k in range(1, z + 1))
+            assert sv.error_bound <= mpmath.mpf(10) ** -40
+            assert abs(sv.value - truth) <= sv.error_bound
 
 
 def test_generating_function_shift_invariant():
