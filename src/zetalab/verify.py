@@ -41,12 +41,18 @@ identical (samples, seed) always reproduce the same estimate bit for bit.
 
 Zeta values and their combinations run in mpf at the requested precision
 plus 10 guard digits (plus what the coefficients' size requires), and a
-budget term in the bound covers each rounding.  The direct sum is rounded
-once, outward (``_outward``); ``crosscheck`` compares exact enclosures.
+budget term in the bound covers each rounding.  ``zeta_value`` names the
+precision of every operation (``mpmath.libmp``), so it reads and sets no
+process-wide state: it is a pure function of (j, precision), memoized on
+them, and safe to call from threads.  ``eval_combination`` and
+``rationality_criterion`` set mpmath's process-wide precision
+(``workdps``) and are not.  The direct sum is rounded once, outward
+(``_outward``); ``crosscheck`` compares exact enclosures.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -56,7 +62,9 @@ from typing import Callable
 import mpmath
 import numpy as np
 from mpmath import mpf
-from mpmath.libmp import dps_to_prec, from_rational, to_rational
+from mpmath.libmp import (
+    dps_to_prec, from_int, from_rational, mpf_add, mpf_div, mpf_gt, mpf_pow_int, to_rational
+)
 
 from .decomp import ZetaCombination, decompose, lcm_upto
 from .moments import check_series_args
@@ -96,8 +104,11 @@ class HighPrecisionValue:
         }
 
 
-def _fraction_to_mpf(x: Fraction):
-    return mpf(x.numerator) / mpf(x.denominator)
+def _fraction_to_mpf(x: Fraction, prec: int):
+    """x at prec bits as mpf(p) / mpf(q) rounds it: p and q, then the quotient."""
+    p = from_int(x.numerator, prec, "n")
+    q = from_int(x.denominator, prec, "n")
+    return mpmath.mp.make_mpf(mpf_div(p, q, prec, "n"))
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -119,8 +130,6 @@ def _outward(mid: Fraction, rad: Fraction, dps: int) -> HighPrecisionValue:
 # certified zeta values
 # ---------------------------------------------------------------------------
 
-_zeta_cache: dict[tuple[int, int], HighPrecisionValue] = {}
-
 
 def _chebyshev_weights(n: int) -> list[int]:
     """Integer weights d_0..d_n of the accelerated alternating series.
@@ -140,36 +149,20 @@ def _chebyshev_weights(n: int) -> list[int]:
     return out
 
 
-class _AlternatingSum:
-    """The terms of the accelerated series with n weights, shared by every j.
+@functools.lru_cache(maxsize=1)
+def _alternating_series(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
+    """(weights, bases, lcm(1..n), d_n) of the accelerated series with n weights.
 
-    numerator(j) = sum_{k<n} (-1)**k (d_k - d_n) (lcm(1..n)/(k+1))**j.  The
-    powers of the bases advance by one multiplication per step in j and
-    start again from the bases when a smaller j is asked for.
+    The series is sum_{k<n} w_k b_k**j over lcm(1..n)**j, with
+    w_k = (-1)**k (d_k - d_n) and b_k = lcm(1..n)/(k+1), for every j.
+    eval_combination asks for zeta(2..r+v) at one precision, so at one n:
+    only the last n is kept.
     """
-
-    def __init__(self, n: int):
-        d = _chebyshev_weights(n)
-        self.n = n
-        self.dn = d[n]
-        self.lcm = lcm_upto(n)
-        self.weights = [d[n] - d[k] if k % 2 else d[k] - d[n] for k in range(n)]
-        self.bases = [self.lcm // (k + 1) for k in range(n)]
-        self.j = 1
-        self.powers = self.bases
-
-    def numerator(self, j: int) -> int:
-        if j < self.j:
-            self.j, self.powers = 1, self.bases
-        while self.j < j:
-            self.powers = list(map(operator.mul, self.powers, self.bases))
-            self.j += 1
-        return sum(map(operator.mul, self.weights, self.powers))
-
-
-# the series of the last n asked for: eval_combination asks for zeta(2..r+v)
-# at one precision, so at one n; older n are dropped, not kept
-_last_series: _AlternatingSum | None = None
+    d = _chebyshev_weights(n)
+    lcm = lcm_upto(n)
+    weights = tuple(d[n] - d[k] if k % 2 else d[k] - d[n] for k in range(n))
+    bases = tuple(lcm // (k + 1) for k in range(n))
+    return weights, bases, lcm, d[n]
 
 
 def _zeta_rational(j: int, digits: int) -> tuple[Fraction, Fraction]:
@@ -180,46 +173,41 @@ def _zeta_rational(j: int, digits: int) -> tuple[Fraction, Fraction]:
     Truncation after n weights is below 3/((3+sqrt 8)**n (1-2**(1-j)));
     3 + sqrt(8) > 5828/1000 gives a rational upper bound on the error.
     """
-    global _last_series
     n = int((digits * math.log(10) + math.log(6)) / math.log(3 + math.sqrt(8))) + 3
-    if _last_series is None or _last_series.n != n:
-        _last_series = _AlternatingSum(n)
-    series = _last_series
-    total = series.numerator(j)
+    weights, bases, lcm, dn = _alternating_series(n)
+    total = sum(w * b**j for w, b in zip(weights, bases))
     pref = Fraction(2 ** (j - 1), 2 ** (j - 1) - 1)
     # zeta(j) ~ -(total / lcm**j) * pref / dn, normalized once
-    value = Fraction(-total * 2 ** (j - 1), series.lcm**j * (2 ** (j - 1) - 1) * series.dn)
+    value = Fraction(-total * 2 ** (j - 1), lcm**j * (2 ** (j - 1) - 1) * dn)
     bound = 3 * Fraction(1000, 5828) ** n * pref
     return value, bound
 
 
+@functools.cache
 def zeta_value(j: int, precision: int) -> HighPrecisionValue:
     """zeta(j) for integer j >= 2 with certified error <= 10**-precision.
 
     The value is carried at precision + 10 guard digits; the certified
     bound (truncation plus conversion rounding) lands well under the
-    requested 10**-precision.
+    requested 10**-precision.  Every operation names its precision, so the
+    result depends on (j, precision) alone and is memoized on them.
     """
     if j < 2:
         raise ValueError("zeta_value requires j >= 2")
     if precision < 10:
         raise ValueError("precision must be >= 10")
-    key = (j, precision)
-    if key in _zeta_cache:
-        return _zeta_cache[key]
     working = precision + 10
+    prec = dps_to_prec(working)
     approx, trunc = _zeta_rational(j, working)
-    with mpmath.workdps(working):
-        val = _fraction_to_mpf(approx)
-        err = _fraction_to_mpf(trunc) + mpf(10) ** (2 - working)
-        if err > mpf(10) ** (-precision):
-            raise RuntimeError(
-                f"zeta({j}) error bound {mpmath.nstr(err, 5)} exceeds the "
-                f"requested 1e-{precision}"
-            )
-    out = HighPrecisionValue(value=val, error_bound=err, dps=precision)
-    _zeta_cache[key] = out
-    return out
+    ten = from_int(10)
+    rounding = mpf_pow_int(ten, 2 - working, prec, "n")
+    err = mpmath.mp.make_mpf(mpf_add(_fraction_to_mpf(trunc, prec)._mpf_, rounding, prec, "n"))
+    if mpf_gt(err._mpf_, mpf_pow_int(ten, -precision, prec, "n")):
+        raise RuntimeError(
+            f"zeta({j}) error bound {mpmath.nstr(err, 5)} exceeds the "
+            f"requested 1e-{precision}"
+        )
+    return HighPrecisionValue(value=_fraction_to_mpf(approx, prec), error_bound=err, dps=precision)
 
 
 def _magnitude_digits(x: Fraction) -> int:
@@ -244,12 +232,12 @@ def eval_combination(combo: ZetaCombination, precision: int = 30) -> HighPrecisi
     working = precision + 10 + boost
     with mpmath.workdps(working):
         eps = mpf(10) ** (2 - working)
-        total = _fraction_to_mpf(combo.constant)
+        total = _fraction_to_mpf(combo.constant, mpmath.mp.prec)
         envelope = abs(total)
         err = mpf(0)
         for j, q in combo.zeta:
             z = zeta_value(j, precision + boost)
-            qv = _fraction_to_mpf(q)
+            qv = _fraction_to_mpf(q, mpmath.mp.prec)
             total += qv * z.value
             envelope += abs(qv) * (abs(z.value) + z.error_bound)
             err += abs(qv) * z.error_bound
@@ -700,7 +688,9 @@ def mc_integral(
     s1 = math.fsum(sums)
     s2 = math.fsum(sqs)
     mean = s1 / samples
-    var = max(0.0, (s2 - samples * mean * mean) / (samples - 1))
+    var = (s2 - samples * mean * mean) / (samples - 1)
+    if var < 0.0:  # rounding; the NaN of an overflowed sum must stay NaN
+        var = 0.0
     return MCEstimate(
         mean=mean,
         stderr=math.sqrt(var / samples),

@@ -159,6 +159,45 @@ def test_decompose_matches_exact_partial_sums_on_grid():
                     assert resid <= mpmath.mpf(tb.numerator) / tb.denominator + val.error_bound
 
 
+def test_r2_legendre_coefficients_follow_aperys_numbers_to_n_150():
+    # The moment of P_n has residues +-C(n,l) C(n+l,l) at s = -(l+1), so the
+    # top-order poles of d^v/ds^v [M**2] give zeta(v+2) the coefficient
+    # (v+1)! A_n, A_n = sum_l C(n,l)**2 C(n+l,l)**2 (Apery's numbers).  At
+    # v = 1, Beukers' integral for zeta(3): the zeta(3) coefficient and the
+    # constant both satisfy Apery's recurrence
+    #   n**3 u_n = (34n**3 - 51n**2 + 27n - 5) u_(n-1) - (n-1)**3 u_(n-2);
+    # the constant at other v does not.  At v = 0 the value is
+    # sum_{k>=n} M(k)**2 (M(k) = 0 for k < n by orthogonality), with
+    # |M(k)| <= 1/(k+1) since |P_n| <= 1: it lies in [0, 1/n].  At n = 150
+    # the constants sum the harmonic terms of poles up to m = 151, far past
+    # the reference tests.
+    top = 150
+    apery = [
+        sum(math.comb(n, k) ** 2 * math.comb(n + k, k) ** 2 for k in range(n + 1))
+        for n in range(top + 1)
+    ]
+    with mpmath.workdps(300):
+        zeta2 = Fraction(*mpmath.libmp.to_rational(mpmath.zeta(2)._mpf_))
+    slack = Fraction(1, 10**290)  # above mpmath's rounding of zeta(2)
+    beukers = [decompose(legendre_coeffs(n), 2, 1) for n in range(top + 1)]
+    for v in range(4):
+        for n in range(top + 1):
+            combo = beukers[n] if v == 1 else decompose(legendre_coeffs(n), 2, v)
+            assert combo.coeff(v + 2) == math.factorial(v + 1) * apery[n], (n, v)
+            if v == 0 and n:
+                value = apery[n] * zeta2 + combo.constant
+                assert -apery[n] * slack <= value <= Fraction(1, n) + apery[n] * slack, n
+
+    def residual(u, n):
+        return n**3 * u[n] - (34 * n**3 - 51 * n**2 + 27 * n - 5) * u[n - 1] + (n - 1) ** 3 * u[n - 2]
+
+    zeta3 = [combo.coeff(3) for combo in beukers]
+    constants = [combo.constant for combo in beukers]
+    for n in range(2, top + 1):
+        assert residual(zeta3, n) == 0, n
+        assert residual(constants, n) == 0, n
+
+
 def test_apery_report_n0():
     rep = apery_report(0, 3, 2)
     assert (rep.A, rep.B, rep.G, rep.D) == (0, 12, 0, 1)

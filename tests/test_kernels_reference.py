@@ -57,7 +57,6 @@ def test_chebyshev_weights_match_reference():
 
 @pytest.mark.parametrize("digits", [20, 60, 100, 140])
 def test_zeta_rational_matches_reference(digits):
-    # up and down again: the memo steps its powers up in j and restarts below
     for j in [*range(2, 13), *range(12, 1, -1)]:
         assert _zeta_rational(j, digits) == ref.zeta_rational(j, digits)
 

@@ -1,7 +1,10 @@
-"""Every exported name resolves, so a stale export fails here and not in a user's import."""
+"""Package-wide checks: every exported name resolves, so a stale export fails
+here and not in a user's import; and no function rebinds a module's state."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import zetalab
 
@@ -12,3 +15,14 @@ def test_star_import_and_every_module_all_resolve():
         module = importlib.import_module(f"zetalab.{info.name}")
         missing = [name for name in module.__all__ if not hasattr(module, name)]
         assert not missing, (info.name, missing)
+
+
+def test_no_function_rebinds_module_or_enclosing_state():
+    # state that a global or nonlocal statement rebinds is shared by every
+    # caller, threads included; memoize pure functions with functools instead
+    found = []
+    for path in sorted(Path(zetalab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

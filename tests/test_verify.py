@@ -1,4 +1,7 @@
+import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -80,10 +83,44 @@ def test_zeta_value_raises_when_the_bound_misses_the_precision(monkeypatch):
     # raised error, not an assert
     from zetalab import verify
 
-    monkeypatch.setattr(verify, "_zeta_cache", {})
+    zeta_value.cache_clear()
     monkeypatch.setattr(verify, "_zeta_rational", lambda j, digits: (Fraction(6, 5), Fraction(1, 10)))
     with pytest.raises(RuntimeError, match="exceeds"):
         zeta_value(3, 20)
+
+
+def test_zeta_values_computed_in_threads_keep_their_enclosures():
+    # four threads ask for zeta(2), zeta(3), zeta(5) at precisions 100..139
+    # in rotated orders, with a short switch interval so that they interleave
+    # inside each computation; every result, memoized or fresh, must still
+    # enclose zeta(j) computed by mpmath at 160 digits
+    js = (2, 3, 5)
+    with mpmath.workdps(160):
+        reference = {j: verify._mpf_to_fraction(mpmath.zeta(j)) for j in js}
+    slack = Fraction(1, 10**155)  # far above the reference's own rounding
+    misses = []
+
+    def work(t):
+        for p in range(100, 140):
+            for j in js[t % 3 :] + js[: t % 3]:
+                hv = zeta_value(j, p)
+                gap = abs(verify._mpf_to_fraction(hv.value) - reference[j])
+                if gap > verify._mpf_to_fraction(hv.error_bound) + slack:
+                    misses.append((j, p))
+
+    zeta_value.cache_clear()
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert misses == []
 
 
 # -- combination evaluation ------------------------------------------------------
@@ -273,6 +310,15 @@ def test_mc_stderr_definition():
     assert est.samples == 10**4
     assert est.stderr > 0
     assert est.rejected >= 0
+
+
+def test_mc_overflowed_estimate_reports_a_non_finite_stderr():
+    # R = 1 + 1e200 x overflows float64: the mean is inf and the variance
+    # NaN, which must not read as a zero stderr
+    with np.errstate(over="ignore"):
+        est = mc_integral(Poly([1, 10**200]), 2, 0, samples=10**4)
+    assert math.isinf(est.mean)
+    assert not math.isfinite(est.stderr)
 
 
 def test_mc_z_shift():
