@@ -159,9 +159,9 @@ def _principal_numerators(poly: Poly, r: int, v: int) -> tuple[dict[tuple[int, i
             right = sum(map(operator.mul, above, row))
             # (-1)**(i-1) (p-m)**-i is (-1)**(i-1) q**-i above the pole, -q**-i below
             u.append((right if i % 2 else -right) - left)
-        ur = [1] + [0] * (r - 1)
-        for _ in range(r):
-            ur = [sum(ur[i] * u[k - i] for i in range(k + 1)) for k in range(r)]
+        ur = u
+        for _ in range(r - 1):
+            ur = [sum(map(operator.mul, ur[: k + 1], u[k::-1])) for k in range(r)]
         for k, c in enumerate(ur):
             if c:
                 j = r - k

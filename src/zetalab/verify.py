@@ -27,11 +27,14 @@ Three independent evaluation paths cross-check each other:
 
 Zeta values use the alternating-series acceleration with Chebyshev-derived
 integer weights d_k (Borwein's method), built by an exact integer
-recurrence.  The partial sum is one integer numerator over lcm(1..n)**j,
-normalized once; the weights and bases of the last n serve every j asked
-for at that n.  The truncation error is provably below
-3 / ((3+sqrt(8))**n * |1 - 2**(1-j)|), so every returned value carries a
-certified absolute error bound.
+recurrence.  Written in the weights' increments a_i, the partial sum is
+-sum_i a_i eta_i(j), with eta_i(j) = sum_{m<=i} (-1)**(m-1) m**-j the
+alternating partial sums, which do not depend on n.  So each j keeps its
+eta_i as integers over lcm(1..cap)**j, shared by every n up to the cap,
+and each (j, n) costs one dot product, normalized once; the increments of
+the last n serve every j asked for at that n.  The truncation error is
+provably below 3 / ((3+sqrt(8))**n * |1 - 2**(1-j)|), so every returned
+value carries a certified absolute error bound.
 
 Randomness: Philox4x64 counter-based generator.  Sample chunk c of a run
 with seed s draws from ``Philox(key = s + (c+1) * 2**64)``.  The chunk
@@ -41,18 +44,18 @@ identical (samples, seed) always reproduce the same estimate bit for bit.
 
 Zeta values and their combinations run in mpf at the requested precision
 plus 10 guard digits (plus what the coefficients' size requires), and a
-budget term in the bound covers each rounding.  ``zeta_value`` names the
-precision of every operation (``mpmath.libmp``), so it reads and sets no
-process-wide state: it is a pure function of (j, precision), memoized on
-them, and safe to call from threads.  ``eval_combination`` and
-``rationality_criterion`` set mpmath's process-wide precision
-(``workdps``) and are not.  The direct sum is rounded once, outward
-(``_outward``); ``crosscheck`` compares exact enclosures.
+budget term in the bound covers each rounding.  ``zeta_value``,
+``eval_combination`` and ``rationality_criterion`` name the precision of
+every operation (``mpmath.libmp``), so they read and set no process-wide
+state and are safe to call from threads; ``zeta_value`` is a pure function
+of (j, precision), memoized on them.  The direct sum is rounded once,
+outward (``_outward``); ``crosscheck`` compares exact enclosures.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -61,9 +64,20 @@ from typing import Callable
 
 import mpmath
 import numpy as np
-from mpmath import mpf
 from mpmath.libmp import (
-    dps_to_prec, from_int, from_rational, mpf_add, mpf_div, mpf_gt, mpf_pow_int, to_rational
+    dps_to_prec,
+    from_int,
+    from_rational,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_exp,
+    mpf_gt,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pow_int,
+    to_rational,
 )
 
 from .decomp import ZetaCombination, decompose, lcm_upto
@@ -104,11 +118,12 @@ class HighPrecisionValue:
         }
 
 
-def _fraction_to_mpf(x: Fraction, prec: int):
-    """x at prec bits as mpf(p) / mpf(q) rounds it: p and q, then the quotient."""
+def _from_fraction(x: Fraction, prec: int):
+    """x at prec bits, as a raw libmp value, rounded as mpf(p) / mpf(q) rounds
+    it: p and q, then the quotient."""
     p = from_int(x.numerator, prec, "n")
     q = from_int(x.denominator, prec, "n")
-    return mpmath.mp.make_mpf(mpf_div(p, q, prec, "n"))
+    return mpf_div(p, q, prec, "n")
 
 
 def _mpf_to_fraction(x) -> Fraction:
@@ -131,54 +146,55 @@ def _outward(mid: Fraction, rad: Fraction, dps: int) -> HighPrecisionValue:
 # ---------------------------------------------------------------------------
 
 
-def _chebyshev_weights(n: int) -> list[int]:
-    """Integer weights d_0..d_n of the accelerated alternating series.
+@functools.lru_cache(maxsize=1)
+def _chebyshev_increments(n: int) -> tuple[int, ...]:
+    """Increments a_0..a_n of the integer weights d_i = a_0 + ... + a_i of the
+    accelerated alternating series with n weights.
 
-    d_i = sum_{k<=i} a_k with a_0 = 1 and the integer recurrence
-    a_{k+1} = a_k * 4 (n+k)(n-k) / ((2k+1)(2k+2)); every division is exact.
+    a_0 = 1 and a_{k+1} = a_k * 4 (n+k)(n-k) / ((2k+1)(2k+2)); every division
+    is exact.  eval_combination asks for zeta(2..r+v) at one precision, so at
+    one n: only the last n is kept.
     """
     a = 1
-    out = [1]  # d_0 = a_0
+    out = [1]
     for i in range(n):
         a, rem = divmod(a * 4 * (n + i) * (n - i), (2 * i + 1) * (2 * i + 2))
         if rem:
             raise RuntimeError(
                 f"internal invariant violation: weight d_{i + 1} is not an integer"
             )
-        out.append(out[-1] + a)
-    return out
+        out.append(a)
+    return tuple(out)
 
 
-@functools.lru_cache(maxsize=1)
-def _alternating_series(n: int) -> tuple[tuple[int, ...], tuple[int, ...], int, int]:
-    """(weights, bases, lcm(1..n), d_n) of the accelerated series with n weights.
-
-    The series is sum_{k<n} w_k b_k**j over lcm(1..n)**j, with
-    w_k = (-1)**k (d_k - d_n) and b_k = lcm(1..n)/(k+1), for every j.
-    eval_combination asks for zeta(2..r+v) at one precision, so at one n:
-    only the last n is kept.
-    """
-    d = _chebyshev_weights(n)
-    lcm = lcm_upto(n)
-    weights = tuple(d[n] - d[k] if k % 2 else d[k] - d[n] for k in range(n))
-    bases = tuple(lcm // (k + 1) for k in range(n))
-    return weights, bases, lcm, d[n]
+@functools.lru_cache(maxsize=32)
+def _eta_numerators(j: int, cap: int) -> tuple[tuple[int, ...], int]:
+    """((E_0..E_cap), lcm(1..cap)**j) with E_i / lcm(1..cap)**j equal to
+    eta_i(j) = sum_{m<=i} (-1)**(m-1) m**-j.  No eta_i depends on n, so every
+    n up to cap shares them."""
+    lam = lcm_upto(cap)
+    terms = [(lam // m) ** j for m in range(1, cap + 1)]
+    terms[1::2] = [-t for t in terms[1::2]]
+    return tuple(itertools.accumulate(terms, initial=0)), lam**j
 
 
 def _zeta_rational(j: int, digits: int) -> tuple[Fraction, Fraction]:
     """(rational approximation of zeta(j), certified truncation bound).
 
-    The alternating sum sum_k (-1)**k (d_k - d_n) / (k+1)**j is one integer
-    numerator over L = lcm(1..n)**j, normalized once at the end.
+    With the increments a_i of d_i, the alternating sum
+    sum_{k<n} (-1)**k (d_k - d_n) / (k+1)**j equals -sum_{i<=n} a_i eta_i(j):
+    one integer numerator over lcm(1..cap)**j, normalized once at the end.
+    cap is n rounded up to a multiple of 16, so nearby n share the eta_i.
     Truncation after n weights is below 3/((3+sqrt 8)**n (1-2**(1-j)));
     3 + sqrt(8) > 5828/1000 gives a rational upper bound on the error.
     """
     n = int((digits * math.log(10) + math.log(6)) / math.log(3 + math.sqrt(8))) + 3
-    weights, bases, lcm, dn = _alternating_series(n)
-    total = sum(w * b**j for w, b in zip(weights, bases))
+    increments = _chebyshev_increments(n)
+    eta, denominator = _eta_numerators(j, -(-n // 16) * 16)
+    total = sum(map(operator.mul, increments, eta))  # a_0 meets eta_0 = 0
     pref = Fraction(2 ** (j - 1), 2 ** (j - 1) - 1)
-    # zeta(j) ~ -(total / lcm**j) * pref / dn, normalized once
-    value = Fraction(-total * 2 ** (j - 1), lcm**j * (2 ** (j - 1) - 1) * dn)
+    # zeta(j) ~ (total / lcm**j) * pref / d_n, normalized once
+    value = Fraction(total * 2 ** (j - 1), denominator * (2 ** (j - 1) - 1) * sum(increments))
     bound = 3 * Fraction(1000, 5828) ** n * pref
     return value, bound
 
@@ -201,13 +217,14 @@ def zeta_value(j: int, precision: int) -> HighPrecisionValue:
     approx, trunc = _zeta_rational(j, working)
     ten = from_int(10)
     rounding = mpf_pow_int(ten, 2 - working, prec, "n")
-    err = mpmath.mp.make_mpf(mpf_add(_fraction_to_mpf(trunc, prec)._mpf_, rounding, prec, "n"))
+    err = mpmath.mp.make_mpf(mpf_add(_from_fraction(trunc, prec), rounding, prec, "n"))
     if mpf_gt(err._mpf_, mpf_pow_int(ten, -precision, prec, "n")):
         raise RuntimeError(
             f"zeta({j}) error bound {mpmath.nstr(err, 5)} exceeds the "
             f"requested 1e-{precision}"
         )
-    return HighPrecisionValue(value=_fraction_to_mpf(approx, prec), error_bound=err, dps=precision)
+    value = mpmath.mp.make_mpf(_from_fraction(approx, prec))
+    return HighPrecisionValue(value=value, error_bound=err, dps=precision)
 
 
 def _magnitude_digits(x: Fraction) -> int:
@@ -223,26 +240,38 @@ def eval_combination(combo: ZetaCombination, precision: int = 30) -> HighPrecisi
     The zeta factors are requested with enough extra digits that the
     magnitude of the rational coefficients cannot erode the target
     precision (the scans hit combinations whose coefficients are ~e**(3n)
-    while the value is nearly zero).
+    while the value is nearly zero).  Every operation names its precision,
+    so the result depends on its arguments alone.
     """
     if precision < 10:
         raise ValueError("precision must be >= 10")
     mag = sum((abs(q) for _, q in combo.zeta), abs(combo.constant)) + 1
     boost = _magnitude_digits(mag) + 2
     working = precision + 10 + boost
-    with mpmath.workdps(working):
-        eps = mpf(10) ** (2 - working)
-        total = _fraction_to_mpf(combo.constant, mpmath.mp.prec)
-        envelope = abs(total)
-        err = mpf(0)
-        for j, q in combo.zeta:
-            z = zeta_value(j, precision + boost)
-            qv = _fraction_to_mpf(q, mpmath.mp.prec)
-            total += qv * z.value
-            envelope += abs(qv) * (abs(z.value) + z.error_bound)
-            err += abs(qv) * z.error_bound
-        err += (4 * len(combo.zeta) + 6) * eps * (envelope + 1)
-    return HighPrecisionValue(value=total, error_bound=err, dps=precision)
+    prec = dps_to_prec(working)
+
+    def add(x, y):
+        return mpf_add(x, y, prec, "n")
+
+    def mul(x, y):
+        return mpf_mul(x, y, prec, "n")
+
+    eps = mpf_pow_int(from_int(10), 2 - working, prec, "n")
+    total = _from_fraction(combo.constant, prec)
+    envelope = mpf_abs(total, prec, "n")
+    err = fzero
+    for j, q in combo.zeta:
+        z = zeta_value(j, precision + boost)
+        value, bound = z.value._mpf_, z.error_bound._mpf_
+        qv = _from_fraction(q, prec)
+        size = mpf_abs(qv, prec, "n")
+        total = add(total, mul(qv, value))
+        envelope = add(envelope, mul(size, add(mpf_abs(value, prec, "n"), bound)))
+        err = add(err, mul(size, bound))
+    budget = mpf_mul_int(eps, 4 * len(combo.zeta) + 6, prec, "n")
+    err = add(err, mul(budget, add(envelope, from_int(1))))
+    make = mpmath.mp.make_mpf
+    return HighPrecisionValue(value=make(total), error_bound=make(err), dps=precision)
 
 
 @dataclass(frozen=True)
@@ -291,24 +320,24 @@ def rationality_criterion(
     records: list[CriterionRecord] = []
     prev_abs = None
     pole_power = r + v
+    prec = dps_to_prec(precision + 10)
+    make = mpmath.mp.make_mpf
     for n in range(n_max + 1):
         combo = decomposer(legendre_coeffs(n), r, v)
-        value = eval_combination(combo, precision)
-        with mpmath.workdps(precision + 10):
-            abs_c = abs(value.value)
-            lcm_pow = lcm_upto(n) ** pole_power
-            lcm_scaled = mpmath.mpf(lcm_pow) * abs_c
-            exp_scaled = mpmath.exp(pole_power * n) * abs_c
-            ratio = None
-            if prev_abs is not None and prev_abs > 0:
-                ratio = abs_c / prev_abs
+        abs_c = mpf_abs(eval_combination(combo, precision).value._mpf_, prec, "n")
+        lcm_pow = lcm_upto(n) ** pole_power
+        lcm_scaled = mpf_mul(from_int(lcm_pow, prec, "n"), abs_c, prec, "n")
+        exp_scaled = mpf_mul(mpf_exp(from_int(pole_power * n), prec, "n"), abs_c, prec, "n")
+        ratio = None
+        if prev_abs is not None and mpf_gt(prev_abs, fzero):
+            ratio = make(mpf_div(abs_c, prev_abs, prec, "n"))
         records.append(
             CriterionRecord(
                 n=n,
-                abs_c=abs_c,
+                abs_c=make(abs_c),
                 lcm_pow=lcm_pow,
-                lcm_scaled=lcm_scaled,
-                exp_scaled=exp_scaled,
+                lcm_scaled=make(lcm_scaled),
+                exp_scaled=make(exp_scaled),
                 ratio_to_prev=ratio,
             )
         )

@@ -5,6 +5,7 @@ The integer kernels are checked against the Fraction spellings in
 one-pass spelling in ``mc_reference``.
 """
 
+import itertools
 import subprocess
 import sys
 from fractions import Fraction
@@ -28,7 +29,7 @@ from zetalab import verify
 from zetalab.decomp import _principal_parts
 from zetalab.verify import (
     _cauchy_bound,
-    _chebyshev_weights,
+    _chebyshev_increments,
     _head_sum,
     _moment_expansion,
     _zeta_rational,
@@ -52,10 +53,12 @@ def test_generalized_harmonic_rejects_bad_args():
 
 def test_chebyshev_weights_match_reference():
     for n in range(1, 120):
-        assert _chebyshev_weights(n) == ref.chebyshev_weights(n)
+        assert list(itertools.accumulate(_chebyshev_increments(n))) == ref.chebyshev_weights(n)
 
 
-@pytest.mark.parametrize("digits", [20, 60, 100, 140])
+# digits 21, 22, 23 give n = 31, 32, 34 and digits 33, 34, 35 give n = 47, 48,
+# 49: just below, at and just above the eta caps 32 and 48
+@pytest.mark.parametrize("digits", [20, 21, 22, 23, 33, 34, 35, 60, 100, 140, 500])
 def test_zeta_rational_matches_reference(digits):
     for j in [*range(2, 13), *range(12, 1, -1)]:
         assert _zeta_rational(j, digits) == ref.zeta_rational(j, digits)
@@ -67,7 +70,7 @@ def test_non_integer_weight_raises_under_python_O():
     code = (
         "from zetalab import verify\n"
         "verify.divmod = lambda a, b: (a // b, 1)\n"
-        "for call in (lambda: verify._chebyshev_weights(10), lambda: verify.zeta_value(3, 20)):\n"
+        "for call in (lambda: verify._chebyshev_increments(10), lambda: verify.zeta_value(3, 20)):\n"
         "    try:\n"
         "        call()\n"
         "    except RuntimeError as exc:\n"

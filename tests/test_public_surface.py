@@ -1,5 +1,6 @@
 """Package-wide checks: every exported name resolves, so a stale export fails
-here and not in a user's import; and no function rebinds a module's state."""
+here and not in a user's import; no function rebinds a module's state; and
+no code sets mpmath's process-wide precision."""
 
 import ast
 import importlib
@@ -25,4 +26,27 @@ def test_no_function_rebinds_module_or_enclosing_state():
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, (ast.Global, ast.Nonlocal)):
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_code_sets_mpmaths_process_wide_precision():
+    # mpmath's context precision is shared by every thread; name the precision
+    # of each operation (mpmath.libmp) instead of setting it
+    found = []
+    for path in sorted(Path(zetalab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in ("workdps", "workprec", "extradps"):
+                    found.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    if (
+                        isinstance(target, ast.Attribute)
+                        and target.attr in ("dps", "prec")
+                        and "mp" in (getattr(target.value, "id", None), getattr(target.value, "attr", None))
+                    ):
+                        found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -148,6 +148,38 @@ def test_eval_combination_absorbs_coefficient_magnitude():
         assert abs(v.value) < mpmath.mpf("1e-30")
 
 
+def test_eval_combination_in_threads_matches_one_thread():
+    # two threads at precision 15 and two at 200, interleaved by a short
+    # switch interval, evaluate 7 zeta(3) - 2 zeta(5) + 1; every value and
+    # bound must be the one a single thread computes, bit for bit
+    combo = ZetaCombination.make({3: 7, 5: -2}, 1)
+    precisions = (15, 200, 15, 200)
+    expected = {}
+    for p in precisions:
+        hv = eval_combination(combo, p)
+        expected[p] = (hv.value._mpf_, hv.error_bound._mpf_)
+    differ = [0] * len(precisions)
+
+    def work(t):
+        for _ in range(300):
+            hv = eval_combination(combo, precisions[t])
+            if (hv.value._mpf_, hv.error_bound._mpf_) != expected[precisions[t]]:
+                differ[t] += 1
+
+    threads = [threading.Thread(target=work, args=(t,)) for t in range(len(precisions))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert differ == [0] * len(precisions)
+
+
 # -- direct summation -------------------------------------------------------------
 
 
