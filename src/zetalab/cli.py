@@ -21,7 +21,7 @@ import sys
 
 import mpmath
 
-from .cache import DecompositionCache, _wide_int_strings
+from .cache import DecompositionCache
 from .decomp import decompose, decomposition_report
 from .polys import Poly, legendre_coeffs
 from .moments import moment_from_coeffs
@@ -262,15 +262,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@_wide_int_strings  # exact results run past the 4300-digit int<->str limit
 def main(argv=None) -> int:
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    # exact results print past Python's 4300-digit int<->str limit (3.10.7+):
+    # lift it for the run, and give the caller's limit back even on SystemExit
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -110,19 +110,6 @@ class ZetaCombination:
             "constant": str(self.constant),
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ZetaCombination":
-        """Inverse of to_json_dict.  The input may come from a file on disk,
-        so a rational that is not a string (a JSON number) raises TypeError."""
-
-        def rational(text) -> Fraction:
-            if not isinstance(text, str):
-                raise TypeError(f"a rational must be a string, not {type(text).__name__}")
-            return Fraction(text)
-
-        zeta = {int(j): rational(q) for j, q in data["zeta"].items()}
-        return cls.make(zeta, rational(data["constant"]))
-
 
 def _principal_numerators(poly: Poly, r: int, v: int) -> tuple[dict[tuple[int, int], int], int]:
     """({(m, j): C}, D) with G = d^v/ds^v [M**r] = sum (C/D) / (s+m)**j.

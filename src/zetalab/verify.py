@@ -682,38 +682,40 @@ def mc_integral(
     rejected = 0
     done = 0
     chunk = 0
-    while done < samples:
-        m = min(_MC_CHUNK, samples - done)
-        rng = _chunk_rng(seed, chunk)
-        u = rng.random((m, r))
-        prod = _row_products(u)
-        for _ in range(100):
-            bad = prod == 1.0
-            if reject_faces:
-                bad |= prod == 0.0
-            nbad = int(bad.sum())
-            if nbad == 0:
-                break
-            rejected += nbad
-            u[bad] = rng.random((nbad, r))
-            prod[bad] = _row_products(u[bad])
-        else:
-            raise RuntimeError("singular-sample rejection did not settle")
-        for lo in range(0, m, _MC_BLOCK):
-            hi = min(lo + _MC_BLOCK, m)
-            p = prod[lo:hi]
-            with np.errstate(divide="ignore"):
+    # an integrand past float64 overflows to inf and its square's sum to
+    # NaN; the estimate then reports them, so numpy need not warn
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        while done < samples:
+            m = min(_MC_CHUNK, samples - done)
+            rng = _chunk_rng(seed, chunk)
+            u = rng.random((m, r))
+            prod = _row_products(u)
+            for _ in range(100):
+                bad = prod == 1.0
+                if reject_faces:
+                    bad |= prod == 0.0
+                nbad = int(bad.sum())
+                if nbad == 0:
+                    break
+                rejected += nbad
+                u[bad] = rng.random((nbad, r))
+                prod[bad] = _row_products(u[bad])
+            else:
+                raise RuntimeError("singular-sample rejection did not settle")
+            for lo in range(0, m, _MC_BLOCK):
+                hi = min(lo + _MC_BLOCK, m)
+                p = prod[lo:hi]
                 weight = 1.0 / (1.0 - p)
                 if v:
                     weight *= (-np.log(p)) ** v
                 if z > 0:
                     weight *= p**z
-            _row_products(_clenshaw(cheb, u[lo:hi]), out=fx[lo:hi])
-            fx[lo:hi] *= weight
-        sums.append(float(np.sum(fx[:m])))
-        sqs.append(float(np.sum(fx[:m] * fx[:m])))
-        done += m
-        chunk += 1
+                _row_products(_clenshaw(cheb, u[lo:hi]), out=fx[lo:hi])
+                fx[lo:hi] *= weight
+            sums.append(float(np.sum(fx[:m])))
+            sqs.append(float(np.sum(fx[:m] * fx[:m])))
+            done += m
+            chunk += 1
     s1 = math.fsum(sums)
     s2 = math.fsum(sqs)
     mean = s1 / samples

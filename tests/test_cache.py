@@ -2,11 +2,13 @@ import os
 import stat
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zetalab import decompose, legendre_coeffs
+from zetalab import Poly, decompose, legendre_coeffs
 from zetalab.cache import DecompositionCache
 
 
@@ -19,6 +21,22 @@ def test_cache_roundtrip_exact_equality(tmp_path: Path):
     # a separate instance re-reads from disk
     reloaded = DecompositionCache(tmp_path / "c.jsonl").get(poly, 3, 2)
     assert reloaded == fresh  # exact rational equality, not approximate
+
+
+@settings(max_examples=40)
+@given(
+    coeffs=st.lists(
+        st.one_of(st.integers(-9, 9), st.fractions(max_denominator=12)), min_size=1, max_size=6
+    ).filter(any),
+    r=st.integers(2, 5),
+    v=st.integers(0, 4),
+)
+def test_cache_round_trip_property_on_rational_polys(coeffs, r, v):
+    poly = Poly(coeffs)
+    fresh = decompose(poly, r, v)
+    with tempfile.TemporaryDirectory() as tmp:
+        DecompositionCache(tmp).put(poly, r, v, fresh)
+        assert DecompositionCache(tmp).get(poly, r, v) == fresh
 
 
 def test_cache_keys_distinguish_r_v_and_coeffs(tmp_path: Path):
@@ -125,3 +143,43 @@ assert sys.get_int_max_str_digits() == 4321
 """
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-500:]
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "set_int_max_str_digits"), reason="no int<->str digit limit before 3.10.7"
+)
+def test_threads_sharing_a_cache_leave_the_digit_limit_alone(tmp_path: Path):
+    # four threads put and get one entry wider than 4300 digits, switching
+    # as often as the interpreter allows; the cache never lifts the
+    # process-wide limit, so no thread can find it restored under it
+    script = f"""
+import sys, threading
+from zetalab.cache import DecompositionCache
+from zetalab.decomp import decompose
+from zetalab.polys import Poly
+assert sys.get_int_max_str_digits() == 4300
+sys.setswitchinterval(1e-6)
+poly = Poly([1, 10**2200])
+combo = decompose(poly, 2, 0)
+cache = DecompositionCache({str(tmp_path)!r})
+bad = []
+
+def work():
+    for _ in range(50):
+        cache.put(poly, 2, 0, combo)
+        if cache.get(poly, 2, 0) != combo:
+            bad.append(1)
+
+threads = [threading.Thread(target=work) for _ in range(4)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+assert not bad, len(bad)
+assert sys.get_int_max_str_digits() == 4300
+"""
+    env = {k: val for k, val in os.environ.items() if k != "PYTHONINTMAXSTRDIGITS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-1000:]

@@ -105,8 +105,6 @@ def test_principal_parts_property_on_random_integer_polys(coeffs, r, v):
     parts = assert_parts_rebuild_summand(poly, r, v)
     # G decays like s**-2 at least, so the order-1 residues cancel
     assert sum(c for (_, j), c in parts.items() if j == 1) == 0
-    combo = decompose(poly, r, v)
-    assert ZetaCombination.from_json_dict(json.loads(json.dumps(combo.to_json_dict()))) == combo
 
 
 def test_decompose_input_errors_match_build_summand():
@@ -196,6 +194,19 @@ def test_r2_legendre_coefficients_follow_aperys_numbers_to_n_150():
     for n in range(2, top + 1):
         assert residual(zeta3, n) == 0, n
         assert residual(constants, n) == 0, n
+
+    # Beukers: c(n) = A_n zeta(3) + constant -> 0 like (sqrt(2) - 1)**(4n),
+    # so the ratio of successive values climbs to 17 - 12 sqrt(2) from
+    # below.  By n = 150 the two terms cancel over about 460 digits, which
+    # eval_combination's magnitude boost must absorb to keep 20 digits.
+    values = {n: eval_combination(beukers[n], 260) for n in range(29, top + 1)}
+    for n, hp in values.items():
+        assert hp.error_bound <= mpmath.mpf("1e-20") * abs(hp.value), n
+    with mpmath.workdps(60):
+        limit = 17 - 12 * mpmath.sqrt(2)
+        ratios = [abs(values[n].value / values[n - 1].value) for n in range(30, top + 1)]
+    assert all(a < b for a, b in zip(ratios, ratios[1:]))
+    assert all(0.95 < ratio / limit < 1 for ratio in ratios)
 
 
 def test_apery_report_n0():
@@ -295,7 +306,6 @@ def test_combination_canonical_and_roundtrip():
     c = ZetaCombination.make({5: Fraction(0), 3: Fraction(2, 3), 2: 1}, Fraction(-1, 6))
     assert c.zeta == ((2, Fraction(1)), (3, Fraction(2, 3)))
     assert c.common_denominator() == 6
-    assert ZetaCombination.from_json_dict(c.to_json_dict()) == c
     with pytest.raises(ValueError):
         ZetaCombination.make({1: 1})
 

@@ -1,6 +1,7 @@
 """Package-wide checks: every exported name resolves, so a stale export fails
-here and not in a user's import; no function rebinds a module's state; and
-no code sets mpmath's process-wide precision."""
+here and not in a user's import; no function rebinds a module's state; no
+code sets mpmath's process-wide precision; and only the CLI sets Python's
+int<->str digit limit."""
 
 import ast
 import importlib
@@ -50,3 +51,18 @@ def test_no_code_sets_mpmaths_process_wide_precision():
                     ):
                         found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_only_the_cli_sets_the_int_str_digit_limit():
+    # the limit is interpreter-wide: a library call that lifts and restores
+    # it races every other thread, so the cache stores hexadecimal, which
+    # the limit exempts, and only cli.main lifts it for a whole run
+    found = []
+    for path in sorted(Path(zetalab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "set_int_max_str_digits":
+                    found.append(path.name)
+    assert found and set(found) == {"cli.py"}, found

@@ -13,13 +13,6 @@ def test_format_lowest_terms_positive_denominator():
     assert ZetaCombination.make({}).to_json_dict() == {"zeta": {}, "constant": "0"}
 
 
-def test_parse_roundtrip():
-    for s in ("-1/2", "7", "0", "355/113", "-12"):
-        combo = ZetaCombination.from_json_dict({"zeta": {"3": s}, "constant": s})
-        assert combo.constant == combo.coeff(3) == Fraction(s)
-        assert combo.to_json_dict() == {"zeta": {"3": s} if s != "0" else {}, "constant": s}
-
-
 def test_poly_strings_lowest_degree_first(capsys):
     # R = 2 - x + 6x**3: M(s) = (7s**2 + 25s + 24) / ((s+1)(s+2)(s+4))
     assert main(["moment", "--coeffs=2,-1,0,6"]) == 0
