@@ -9,7 +9,19 @@ sum_j q_j * zeta(j) + q_0  with exact rational q's, via the partial
 fractions of G.  They come straight from the moment: M(s) = sum_l
 a_l/(s+l+1) is already a sum of simple poles, so the principal part of G
 at each pole s = -m follows from the local Laurent expansion of M there
-(no expanded summand, no pole search, no Taylor shift).  Then:
+(no expanded summand, no pole search, no Taylor shift).  That expansion
+has two routes behind the one entry point ``_principal_numerators``:
+
+* the shifted Legendre family (integer coefficients exactly
+  (-1)**l C(n,l) C(n+l,l)) reads it off the product form of its moment,
+  whose logarithm at each pole is a few differences of generalized
+  harmonic numbers: O(n r) prefix sums, then O(r**2) per pole;
+* every other polynomial (``--coeffs`` input) takes the general route,
+  which correlates the coefficients around each pole: O(deg**2 r).
+
+Both stay on purpose.  The general route is the only one off the family,
+and on the family it is the tests' independent oracle for the product
+route; the two agree as exact rationals.  Then:
 
 * a term b/(s+m)**j with j >= 2 sums to b * (zeta(j) - sum_{t<m} t**-j);
 * the order-1 coefficients satisfy sum_m b_m = 0 (the summand decays at
@@ -18,9 +30,8 @@ at each pole s = -m follows from the local Laurent expansion of M there
 
 Both steps run in integers, with one Fraction normalization per output
 number instead of a gcd per operation: the principal parts are numerators
-over one common denominator (A * lcm(1..mu-1)**(r-1))**r, with A the
-common denominator of the polynomial and mu = deg + 1, and the harmonic
-sums H_m^(j) are running integer sums over lcm(1..mu-1)**j.
+over one common denominator per route, and the harmonic sums H_m^(j) are
+running integer sums over lcm(1..deg)**j.
 
 The combination reported is c_v = (-1)**v * sum_k G(k): expanding the
 series over k of M(z+k)**r around z = 0 as sum_v c_v (-z)**v / v! forces
@@ -114,27 +125,110 @@ class ZetaCombination:
 def _principal_numerators(poly: Poly, r: int, v: int) -> tuple[dict[tuple[int, int], int], int]:
     """({(m, j): C}, D) with G = d^v/ds^v [M**r] = sum (C/D) / (s+m)**j.
 
+    Near the pole s = -m, with t = s + m, the principal part of M**r is
+    sum_{k<r} c_k t**(k-r); the v derivatives map c/t**j to
+    c (-1)**v (j)_v / t**(j+v).  The c_k come from _legendre_laurent when
+    the cleared coefficients are the shifted Legendre family's and from
+    _correlation_laurent otherwise, each as integers over its own common
+    denominator D.  Only nonzero C are kept.
+    """
+    cleared, A = poly.clear_denominators()
+    if A == 1 and _is_shifted_legendre(cleared):
+        laurent, denominator = _legendre_laurent(cleared, r)
+    else:
+        laurent, denominator = _correlation_laurent(cleared, A, r)
+    sign = -1 if v % 2 else 1
+    # ur[k] is the coefficient of t**-j, j = r - k: order j + v after v derivatives
+    factors = [(j + v, sign * math.prod(range(j, j + v))) for j in range(r, 0, -1)]
+    numerators: dict[tuple[int, int], int] = {}
+    for m, ur in laurent:
+        for (j, factor), c in zip(factors, ur):
+            if c:
+                numerators[(m, j)] = factor * c
+    return numerators, denominator
+
+
+def _is_shifted_legendre(a: list[int]) -> bool:
+    """Whether a_l = (-1)**l C(n,l) C(n+l,l) for n = len(a) - 1.
+
+    Walks a_{l+1} (l+1)**2 = -a_l (n-l)(n+l+1) from a_0 = 1 and stops at the
+    first mismatch, so most other polynomials exit at a_0 or a_1.
+    """
+    n = len(a) - 1
+    return a[0] == 1 and all(
+        b * (l + 1) ** 2 == -c * (n - l) * (n + l + 1)
+        for l, (c, b) in enumerate(itertools.pairwise(a))
+    )
+
+
+def _legendre_laurent(a: list[int], r: int) -> tuple[list[tuple[int, list[int]]], int]:
+    """Principal parts of M**r for the shifted Legendre coefficients a, from the product form.
+
+    M = (-1)**n prod_{k<n} (s-k) / prod_{k=1}^{n+1} (s+k) (moment_closed_form),
+    so near s = -m (1 <= m <= n+1), with t = s + m, t*M = a_{m-1} exp(g(t))
+    where, with H_N^(i) = sum_{t<=N} t**-i,
+
+        i g_i = -(H_{m+n-1}^(i) - H_{m-1}^(i))
+                + (-1)**i (H_{n+1-m}^(i) + (-1)**i H_{m-1}^(i)).
+
+    Then (t*M)**r = a_{m-1}**r exp(r g) = a_{m-1}**r sum_k e_k t**k with
+    e_0 = 1 and k e_k = sum_{i=1}^k r i g_i e_{k-i}.  In integers: with
+    L = lcm(1..2n), the H^(i) are running sums of (L/t)**i over L**i, so
+    rg_i = r i L**i g_i and E_k = k! L**k e_k are integers with
+    E_k = sum_i rg_i E_{k-i} (k-1)!/(k-i)!, and the coefficients of t**(k-r)
+    are integers over (r-1)! L**(r-1).  The only divisions are L // t, exact
+    by the choice of L.  O(n r) prefix sums, then O(r**2) products per pole.
+    """
+    n = len(a) - 1
+    L = lcm_upto(2 * n)
+    quotients = [L // t for t in range(1, 2 * n + 1)]
+    # ((-1)**i, [L**i H_N^(i) for 0 <= N <= 2n]) for 1 <= i < r
+    harmonic = [
+        ((-1) ** i, list(itertools.accumulate((q**i for q in quotients), initial=0)))
+        for i in range(1, r)
+    ]
+    # weights[k-1][i-1] = (k-1)!/(k-i)! for 1 <= i <= k < r
+    weights = [[math.perm(k - 1, i - 1) for i in range(1, k + 1)] for k in range(1, r)]
+    # the coefficient of t**(k-r) is a_{m-1}**r E_k scale[k] over (r-1)! L**(r-1)
+    scale = [math.perm(r - 1, r - 1 - k) * L ** (r - 1 - k) for k in range(r)]
+    laurent = []
+    for m in range(1, n + 2):
+        rg = [
+            r * (h[m - 1] - h[m + n - 1] + sign * (h[n + 1 - m] + sign * h[m - 1]))
+            for sign, h in harmonic
+        ]
+        E = [1]
+        for w in weights:
+            E.append(sum(map(operator.mul, map(operator.mul, rg, E[::-1]), w)))
+        ar = a[m - 1] ** r
+        laurent.append((m, [ar * (Ek * c) for Ek, c in zip(E, scale)]))
+    return laurent, math.factorial(r - 1) * L ** (r - 1)
+
+
+def _correlation_laurent(
+    cleared: list[int], A: int, r: int
+) -> tuple[list[tuple[int, list[int]]], int]:
+    """Principal parts of M**r for any polynomial R = cleared / A.
+
     Near the pole s = -m of M = sum_l a_l/(s+l+1), with t = s + m,
     t*M = u(t) = a_{m-1} + sum_{i>=1} u_i t**i where u_i = sum_{p != m}
     a_{p-1} (-1)**(i-1) / (p-m)**i.  The principal part of M**r there is
-    u**r mod t**r, and v derivatives map c/t**j to c (-1)**v (j)_v / t**(j+v).
+    u**r mod t**r: O(deg**2 r) products over all poles.
 
     All of it runs in integers: A clears the denominators of the a's, and
     with L = lcm(1..mu-1) (mu = deg + 1, the farthest pole) and
     S = L**(r-1), every S/|p-m|**i is an integer, so U = A*S*u has integer
-    coefficients.  U**r mod t**r then holds the numerators over the one
-    denominator D = (A*S)**r.  Only nonzero C are kept.
+    coefficients.  U**r mod t**r then holds the coefficients over the one
+    denominator (A*S)**r.  Poles with a_{m-1} = 0 are skipped.
     """
-    cleared, A = poly.clear_denominators()
     # alpha[p] = A * a_{p-1}, the residue of A*M at s = -p
     alpha = [0, *cleared]
-    mu = len(poly.coeffs)
+    mu = len(cleared)
     L = lcm_upto(mu - 1)
     S = L ** (r - 1)
     # inverse_powers[i-1][q-1] = S // q**i for 1 <= i < r, 1 <= q < mu
     inverse_powers = [[S // q**i for q in range(1, mu)] for i in range(1, r)]
-    sign = -1 if v % 2 else 1
-    numerators: dict[tuple[int, int], int] = {}
+    laurent = []
     for m in range(1, mu + 1):
         if not alpha[m]:
             continue
@@ -149,11 +243,8 @@ def _principal_numerators(poly: Poly, r: int, v: int) -> tuple[dict[tuple[int, i
         ur = u
         for _ in range(r - 1):
             ur = [sum(map(operator.mul, ur[: k + 1], u[k::-1])) for k in range(r)]
-        for k, c in enumerate(ur):
-            if c:
-                j = r - k
-                numerators[(m, j + v)] = sign * math.prod(range(j, j + v)) * c
-    return numerators, (A * S) ** r
+        laurent.append((m, ur))
+    return laurent, (A * S) ** r
 
 
 def _principal_parts(poly: Poly, r: int, v: int) -> dict[tuple[int, int], Fraction]:
@@ -179,21 +270,25 @@ def decompose(poly: Poly, r: int, v: int) -> ZetaCombination:
         )
     # C/(s+m)**j sums to C zeta(j) - C H_{m-1}^(j), where the harmonic sum
     # H_m^(j) = sum_{t<=m} t**-j is harmonic[j][m] / L**j, L = lcm(1..mu-1),
-    # kept as integer running sums up to m = mu - 1
+    # kept as integer running sums up to m = mu - 1 for the orders
+    # v+1..r+v that the numerators have
     mu = len(poly.coeffs)
     L = lcm_upto(mu - 1)
     quotients = [L // t for t in range(1, mu)]
     top = r + v
     harmonic = {
         j: list(itertools.accumulate((q**j for q in quotients), initial=0))
-        for j in range(1, top + 1)
+        for j in range(v + 1, top + 1)
     }
     zeta = dict.fromkeys(range(2, top + 1), 0)
-    constant = 0  # over denominator * L**top
+    # corrections[j] = sum_m C H_{m-1}^(j) over denominator * L**j; the
+    # constant is minus their sum, over denominator * L**top
+    corrections = dict.fromkeys(harmonic, 0)
     for (m, j), c in numerators.items():
         if j > 1:
             zeta[j] += c
-        constant -= c * harmonic[j][m - 1] * L ** (top - j)
+        corrections[j] += c * harmonic[j][m - 1]
+    constant = -sum(x * L ** (top - j) for j, x in corrections.items())
     sign = -1 if v % 2 else 1
     return ZetaCombination.make(
         {j: Fraction(sign * q, denominator) for j, q in zeta.items()},

@@ -12,9 +12,12 @@ arithmetic: it is Q = prod (s + l + 1) over the support a_l != 0, so no
 polynomial gcd is ever needed.
 
 The coefficient-sum moment is the ground truth here.  ``moment_closed_form``
-is a product-form accelerator for the shifted-Legendre family, validated
+spells out the product form for the shifted-Legendre family, validated
 against the coefficient sum (an extensively cross-checked identity, since
 naive transcriptions of the product form are easy to get wrong off by one).
+It is not on any runtime path: it is the identity that
+``decomp._legendre_laurent`` rests on when it reads the family's principal
+parts off the product form's logarithm.
 """
 
 from __future__ import annotations

@@ -24,8 +24,9 @@ from zetalab import (
     integrate_poly_01,
     legendre_coeffs,
     moment_from_coeffs,
+    rationality_criterion,
 )
-from zetalab import verify
+from zetalab import cli, decomp, verify
 from zetalab.decomp import _principal_parts
 from zetalab.verify import (
     _cauchy_bound,
@@ -83,13 +84,68 @@ def test_non_integer_weight_raises_under_python_O():
     assert all("is not an integer" in line for line in lines)
 
 
-def test_decompose_and_principal_parts_match_reference_on_legendre_grid():
-    for n in range(41):
-        poly = legendre_coeffs(n)
-        for r in (2, 3, 4):
-            for v, parts in enumerate(ref.principal_parts_upto(poly, r, 3)):
-                assert _principal_parts(poly, r, v) == parts, (n, r, v)
-                assert decompose(poly, r, v) == ref.collapse(parts, v), (n, r, v)
+# -- the two principal-parts routes: the Legendre family's product form and the
+# general correlation sums, which stay as the only route off the family and as
+# the product route's oracle on it
+
+
+def _general_route_only(monkeypatch):
+    monkeypatch.setattr(decomp, "_is_shifted_legendre", lambda a: False)
+
+
+def _refuse(*args):
+    raise AssertionError("this route must not run")
+
+
+def test_decompose_and_principal_parts_match_reference_on_legendre_grid(monkeypatch):
+    grid = [(n, r) for n in range(41) for r in (2, 3, 4)]
+    expected = {(n, r): ref.principal_parts_upto(legendre_coeffs(n), r, 3) for n, r in grid}
+    for general in (False, True):
+        if general:
+            _general_route_only(monkeypatch)
+        for (n, r), upto in expected.items():
+            poly = legendre_coeffs(n)
+            for v, parts in enumerate(upto):
+                assert _principal_parts(poly, r, v) == parts, (n, r, v, general)
+                assert decompose(poly, r, v) == ref.collapse(parts, v), (n, r, v, general)
+
+
+def test_product_route_equals_the_general_route_past_the_reference_grid(monkeypatch):
+    grid = [(n, r) for n in range(45, 151, 15) for r in (2, 3, 4)] + [(n, 5) for n in range(21)]
+    cases = [(n, r, v) for n, r in grid for v in range(4)]
+    product = {(n, r, v): _principal_parts(legendre_coeffs(n), r, v) for n, r, v in cases}
+    _general_route_only(monkeypatch)
+    for n, r, v in cases:
+        assert _principal_parts(legendre_coeffs(n), r, v) == product[n, r, v], (n, r, v)
+
+
+def test_the_legendre_family_takes_the_product_route_and_near_misses_do_not(monkeypatch, capsys):
+    # no timing: with the general route refused, the family must still
+    # decompose, so a silent fall-back to the O(n**2 r) sums fails here
+    with monkeypatch.context() as patch:
+        patch.setattr(decomp, "_correlation_laurent", _refuse)
+        for n in (0, 1, 2, 200):
+            decompose(legendre_coeffs(n), 3, 2)
+        assert len(rationality_criterion(3, 2, 30, 50)) == 31
+        assert cli.main(["scan", "--r", "3", "--v", "2", "--n-max", "30"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 32  # header and n = 0..30
+    # with the product route refused, polynomials one step off the family
+    # must take the general route and still be exact
+    monkeypatch.setattr(decomp, "_legendre_laurent", _refuse)
+    for n in (1, 5):
+        a = list(legendre_coeffs(n).coeffs)
+        near = [
+            [2 * c for c in a],
+            [-c for c in a],
+            [c / 3 for c in a],
+            a[:-1] + [a[-1] + 1],
+            a[:-1] + [a[-1] - 1],
+        ]
+        for coeffs in near:
+            for r, v in ((2, 0), (3, 2)):
+                poly = Poly(coeffs)
+                expected = ref.collapse(ref.principal_parts(poly, r, v), v)
+                assert decompose(poly, r, v) == expected, (coeffs, r, v)
 
 
 _small = st.integers(-9, 9)
