@@ -1,7 +1,9 @@
 """Command-line front end.
 
-Subcommands: poly, moment, decompose, value, scan, verify.  stdout carries
-machine-parseable CSV or JSON only; diagnostics and progress go to stderr.
+Subcommands: poly, moment, decompose, value, scan, verify.  The command
+table `_COMMANDS` is the one list of them; a run builds only the invoked
+command's parser.  stdout carries machine-parseable CSV or JSON only;
+diagnostics and progress go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
 
 Desk-scale defaults: 30 digits of precision, 10**5 Monte Carlo samples.
@@ -199,45 +201,32 @@ def _add_format(p, default):
     p.add_argument("--format", choices=("csv", "json"), default=default)
 
 
-@functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The zetalab parser, built once per process: main() may be called many times."""
-    ap = argparse.ArgumentParser(
-        prog="zetalab",
-        description=(
-            "Exact zeta-value decompositions of r-fold log-weighted unit-cube "
-            "integrals, with certified numerics and Monte Carlo verification. "
-            "Defaults: 30-digit precision, 10**5 Monte Carlo samples."
-        ),
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("poly", help="print the degree-n family polynomial")
+def _poly_arguments(p):
     p.add_argument("--n", type=int, required=True)
     _add_format(p, "json")
-    p.set_defaults(func=_cmd_poly)
 
-    p = sub.add_parser("moment", help="print the moment rational function M(s)")
+
+def _moment_arguments(p):
     _add_poly_selection(p)
     _add_format(p, "json")
-    p.set_defaults(func=_cmd_moment)
 
-    p = sub.add_parser("decompose", help="exact zeta-combination report")
+
+def _decompose_arguments(p):
     _add_poly_selection(p)
     _add_rv(p)
     _add_format(p, "json")
     p.add_argument("--cache", help="cache directory (default: $ZETALAB_CACHE)")
-    p.set_defaults(func=_cmd_decompose)
 
-    p = sub.add_parser("value", help="high-precision numeric value of the decomposition")
+
+def _value_arguments(p):
     _add_poly_selection(p)
     _add_rv(p)
     p.add_argument("--prec", type=int, default=30, help="decimal digits (default 30)")
     _add_format(p, "json")
     p.add_argument("--cache", help="cache directory (default: $ZETALAB_CACHE)")
-    p.set_defaults(func=_cmd_value)
 
-    p = sub.add_parser("scan", help="criterion-quantity table over n = 0..n_max")
+
+def _scan_arguments(p):
     _add_rv(p)
     p.add_argument("--n-max", type=int, required=True, dest="n_max")
     p.add_argument("--prec", type=int, default=30, help="decimal digits (default 30)")
@@ -249,16 +238,56 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         help="print progress to stderr every K rows (0 = off)",
     )
-    p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("verify", help="three-path crosscheck; exit 0 on pass, 1 on fail")
+
+def _verify_arguments(p):
     _add_poly_selection(p)
     _add_rv(p)
     p.add_argument("--prec", type=int, default=30)
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(func=_cmd_verify)
 
+
+# name: (help, add_arguments, handler); the one list of subcommands, in help order
+_COMMANDS = {
+    "poly": ("print the degree-n family polynomial", _poly_arguments, _cmd_poly),
+    "moment": ("print the moment rational function M(s)", _moment_arguments, _cmd_moment),
+    "decompose": ("exact zeta-combination report", _decompose_arguments, _cmd_decompose),
+    "value": (
+        "high-precision numeric value of the decomposition",
+        _value_arguments,
+        _cmd_value,
+    ),
+    "scan": ("criterion-quantity table over n = 0..n_max", _scan_arguments, _cmd_scan),
+    "verify": (
+        "three-path crosscheck; exit 0 on pass, 1 on fail",
+        _verify_arguments,
+        _cmd_verify,
+    ),
+}
+
+
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser that add_parser would make for `name`, built once per process."""
+    p = argparse.ArgumentParser(prog=f"zetalab {name}")
+    _COMMANDS[name][1](p)
+    return p
+
+
+def _top_parser() -> argparse.ArgumentParser:
+    """The whole tree, for an argv that does not start with a command."""
+    ap = argparse.ArgumentParser(
+        prog="zetalab",
+        description=(
+            "Exact zeta-value decompositions of r-fold log-weighted unit-cube "
+            "integrals, with certified numerics and Monte Carlo verification. "
+            "Defaults: 30-digit precision, 10**5 Monte Carlo samples."
+        ),
+    )
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return ap
 
 
@@ -269,8 +298,13 @@ def main(argv=None) -> int:
     if limit:
         sys.set_int_max_str_digits(0)
     try:
-        args = _build_parser().parse_args(argv)
-        return args.func(args)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        if argv and argv[0] in _COMMANDS:
+            command, args = argv[0], _command_parser(argv[0]).parse_args(argv[1:])
+        else:
+            args = _top_parser().parse_args(argv)
+            command = args.command
+        return _COMMANDS[command][2](args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -188,11 +189,74 @@ def test_verify_passes_at_n_40():
     assert obj["exact_vs_mc_ok"] is True and obj["passed"] is True
 
 
-def test_malformed_flags_exit_2():
+COMMAND_HELP = [
+    ("poly", "print the degree-n family polynomial"),
+    ("moment", "print the moment rational function M(s)"),
+    ("decompose", "exact zeta-combination report"),
+    ("value", "high-precision numeric value of the decomposition"),
+    ("scan", "criterion-quantity table over n = 0..n_max"),
+    ("verify", "three-path crosscheck; exit 0 on pass, 1 on fail"),
+]
+
+
+def test_malformed_flags_exit_2(monkeypatch, capsys):
     proc = run_cli(["decompose", "--n", "0", "--r"])
     assert proc.returncode == 2
     proc = run_cli(["nonsense"])
     assert proc.returncode == 2
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+
+    def exit_code(argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        return exc.value.code
+
+    assert exit_code([]) == 2
+    assert exit_code(["--help"]) == 0
+    listed = re.findall(r"^    (\S+) +(.+)$", capsys.readouterr().out, re.MULTILINE)
+    assert listed == COMMAND_HELP
+    for name, _ in COMMAND_HELP:
+        assert exit_code([name, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: zetalab {name} ")
+    assert exit_code(["scan", "--r", "2", "--v", "1", "--n-max", "2", "--bogus"]) == 2
+    assert "zetalab scan: error: unrecognized arguments: --bogus" in capsys.readouterr().err
+
+
+def test_only_the_invoked_commands_parser_is_built(monkeypatch, capsys):
+    import zetalab.cli as cli
+
+    def no_top_parser():
+        raise AssertionError("a valid command reached the top-level parser")
+
+    monkeypatch.delenv("ZETALAB_CACHE", raising=False)
+    monkeypatch.setattr(cli, "_top_parser", no_top_parser)
+    cli._command_parser.cache_clear()
+    runs = [
+        ["poly", "--n", "2"],
+        ["moment", "--n", "1"],
+        ["decompose", "--n", "0", "--r", "2", "--v", "0"],
+        ["value", "--n", "0", "--r", "2", "--v", "0", "--prec", "15"],
+        ["scan", "--r", "2", "--v", "0", "--n-max", "1", "--prec", "15"],
+        ["verify", "--n", "0", "--r", "2", "--v", "0", "--prec", "15",
+         "--samples", "10000", "--seed", "1"],
+    ]
+    for built, argv in enumerate(runs, 1):
+        assert main(argv) == 0
+        assert cli._command_parser.cache_info().currsize == built
+    for argv in runs:
+        assert main(argv) == 0
+    assert cli._command_parser.cache_info().currsize == len(runs)
+    capsys.readouterr()
+
+    # importing builds no parser, and the Monte Carlo leg's numpy.random
+    # is left to the verify runs that use it
+    code = (
+        "import sys, zetalab.cli as cli; "
+        "print(cli._command_parser.cache_info().currsize, 'numpy.random' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0 and proc.stdout == "0 False\n", proc.stdout + proc.stderr
 
 
 # (argv, environment); "{tmp}" stands for an existing regular file
