@@ -30,7 +30,7 @@ for target in ("1e-6", "1e-10", "1e-14"):
     print(f"  target {target}: value={mpmath.nstr(hv.value, 16)}  bound={mpmath.nstr(hv.error_bound, 3)}")
 
 print()
-print("The sampler is a counter-based (Philox) generator: same seed, same")
+print("The sampler is a counter-based (SplitMix64) generator: same seed, same")
 print("estimate, bit for bit; chunk substreams make the order irrelevant.")
 a = mc_integral(legendre_coeffs(0), 3, 2, 0.0, 100_000, seed=7)
 b = mc_integral(legendre_coeffs(0), 3, 2, 0.0, 100_000, seed=7)

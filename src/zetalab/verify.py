@@ -36,11 +36,14 @@ the last n serve every j asked for at that n.  The truncation error is
 provably below 3 / ((3+sqrt(8))**n * |1 - 2**(1-j)|), so every returned
 value carries a certified absolute error bound.
 
-Randomness: Philox4x64 counter-based generator.  Sample chunk c of a run
-with seed s draws from ``Philox(key = s + (c+1) * 2**64)``.  The chunk
-boundaries and this keying fix every draw, and the arithmetic on a chunk
-runs in row blocks that cannot change any result (see ``mc_integral``), so
-identical (samples, seed) always reproduce the same estimate bit for bit.
+Randomness: the SplitMix64 counter-based generator, computed on numpy
+uint64 arrays (``numpy.random`` is never imported).  Sample chunk c of a
+run with seed s draws outputs c * 2**40 + 1, c * 2**40 + 2, ... of the
+stream seeded with s mod 2**64, redraws included, so no two chunks share a
+draw.  The chunk boundaries and this counter layout fix every draw, and the
+arithmetic on a chunk runs in row blocks that cannot change any result (see
+``mc_integral``), so identical (samples, seed) always reproduce the same
+estimate bit for bit.
 
 Zeta values and their combinations run in mpf at the requested precision
 plus 10 guard digits (plus what the coefficients' size requires), and a
@@ -581,9 +584,51 @@ class MCEstimate:
         }
 
 
-def _chunk_rng(seed: int, chunk: int) -> np.random.Generator:
-    key = (int(seed) & (2**64 - 1)) + ((chunk + 1) << 64)
-    return np.random.Generator(np.random.Philox(key=key))
+_SM64_GAMMA = 0x9E3779B97F4A7C15
+
+
+class _SplitMix64:
+    """The SplitMix64 stream of seed x0, read as doubles in [0, 1).
+
+    Output k >= 1 is mix(x0 + k * _SM64_GAMMA mod 2**64) (Steele, Lea &
+    Flood, OOPSLA 2014), and its double is (output >> 11) * 2**-53.  ``random``
+    returns the next outputs in row-major order and advances past them.  The
+    outputs are computed _MC_BLOCK at a time on uint64 arrays, whose
+    arithmetic wraps modulo 2**64 without a warning (numpy scalars warn).
+    """
+
+    def __init__(self, x0: int, index: int):
+        self._x0 = x0
+        self._index = index  # k of the next output
+
+    def random(self, shape) -> np.ndarray:
+        out = np.empty(shape)
+        flat = out.reshape(-1)
+        steps = np.arange(min(flat.size, _MC_BLOCK), dtype=np.uint64)
+        steps *= _SM64_GAMMA  # j * gamma: the states of a stretch, less its first
+        z = np.empty_like(steps)
+        t = np.empty_like(steps)
+        for lo in range(0, flat.size, _MC_BLOCK):
+            n = min(_MC_BLOCK, flat.size - lo)
+            zn, tn = z[:n], t[:n]
+            np.add(steps[:n], (self._x0 + (self._index + lo) * _SM64_GAMMA) % 2**64, out=zn)
+            np.right_shift(zn, 30, out=tn)
+            zn ^= tn
+            zn *= 0xBF58476D1CE4E5B9
+            np.right_shift(zn, 27, out=tn)
+            zn ^= tn
+            zn *= 0x94D049BB133111EB
+            np.right_shift(zn, 31, out=tn)
+            zn ^= tn
+            zn >>= 11
+            np.multiply(zn, 2.0**-53, out=flat[lo : lo + n])
+        self._index += flat.size
+        return out
+
+
+def _chunk_rng(seed: int, chunk: int) -> _SplitMix64:
+    """Chunk c's draws: outputs c * 2**40 + 1, + 2, ... of the stream of seed mod 2**64."""
+    return _SplitMix64(int(seed) % 2**64, (chunk << 40) + 1)
 
 
 def _shifted_chebyshev(poly: Poly) -> np.ndarray:
@@ -674,6 +719,8 @@ def mc_integral(
         raise ValueError("z must be >= 0 (negative z moves poles into range)")
     if samples < 10**4:
         raise ValueError("samples must be >= 10**4")
+    if samples > 2**40:  # 2**24 chunks, 2**40 counters apart, span all 2**64
+        raise ValueError("samples must be <= 2**40")
     cheb = _shifted_chebyshev(poly)
     reject_faces = v >= 1
     fx = np.empty(min(_MC_CHUNK, samples))

@@ -8,6 +8,8 @@ operation are the same, so the tests require ``==`` estimates.
 
 The generator is looked up on the ``verify`` module at each chunk, so a test
 that replaces ``verify._chunk_rng`` changes the draws of both spellings.
+``chunk_draws`` spells out, in Python integers, the draws ``verify._chunk_rng``
+must return: the SplitMix64 stream, one output per draw.
 """
 
 from __future__ import annotations
@@ -18,6 +20,24 @@ import numpy as np
 
 from zetalab import verify
 from zetalab.moments import check_series_args
+
+
+def splitmix64(x0: int, k: int) -> int:
+    """Output k >= 1 of the SplitMix64 stream seeded with x0 (Steele, Lea & Flood 2014)."""
+    z = (x0 + k * 0x9E3779B97F4A7C15) % 2**64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+    return z ^ (z >> 31)
+
+
+def chunk_draws(seed: int, chunk: int, start: int, count: int) -> list[float]:
+    """Draws start, start + 1, ..., start + count - 1 (from 0) of a chunk.
+
+    Draw i of chunk c is output c * 2**40 + 1 + i of the stream seeded with
+    seed mod 2**64, its top 53 bits scaled to [0, 1).
+    """
+    first = chunk * 2**40 + 1 + start
+    return [(splitmix64(seed % 2**64, k) >> 11) * 2.0**-53 for k in range(first, first + count)]
 
 
 def clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:

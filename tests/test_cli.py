@@ -249,14 +249,18 @@ def test_only_the_invoked_commands_parser_is_built(monkeypatch, capsys):
     assert cli._command_parser.cache_info().currsize == len(runs)
     capsys.readouterr()
 
-    # importing builds no parser, and the Monte Carlo leg's numpy.random
-    # is left to the verify runs that use it
+    # importing builds no parser, and not even a full verify run, Monte Carlo
+    # leg included, imports numpy.random
     code = (
         "import sys, zetalab.cli as cli; "
-        "print(cli._command_parser.cache_info().currsize, 'numpy.random' in sys.modules)"
+        "print(cli._command_parser.cache_info().currsize, 'numpy.random' in sys.modules); "
+        "code = cli.main(['verify', '--n', '0', '--r', '2', '--v', '0', '--prec', '15', "
+        "'--samples', '10000', '--seed', '1']); "
+        "print(code, 'numpy.random' in sys.modules)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0 and proc.stdout == "0 False\n", proc.stdout + proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("0 False\n") and proc.stdout.endswith("}\n0 False\n"), proc.stdout
 
 
 # (argv, environment); "{tmp}" stands for an existing regular file
@@ -274,6 +278,7 @@ BAD_INPUT = [
     (["scan", "--r", "2", "--v", "0", "--n-max", "1", "--prec", "5"], {}),
     (["verify", "--n", "1", "--r", "2", "--v", "0", "--prec", "5"], {}),
     (["verify", "--n", "0", "--r", "2", "--v", "0", "--prec", "15", "--samples", "5"], {}),
+    (["verify", "--n", "0", "--r", "2", "--v", "0", "--prec", "15", "--samples", "1099511627777"], {}),
     (["verify", "--n", "1", "--coeffs", "1,-2", "--r", "2", "--v", "0"], {}),
     (["verify", "--coeffs", "0,0", "--r", "2", "--v", "0"], {}),
     (["scan", "--r", "2", "--v", "0", "--n-max", "-1"], {}),

@@ -11,6 +11,7 @@ import sys
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -259,6 +260,36 @@ def test_inexact_head_division_raises_under_python_O():
 
 
 # -- the Monte Carlo oracle, in row blocks, against its one-pass spelling -------
+
+
+def test_splitmix64_reference_gives_the_published_outputs():
+    outputs = [mc_reference.splitmix64(1234567, k) for k in (1, 2, 3)]
+    assert outputs == [6457827717110365317, 3203168211198807973, 9817491932198370423]
+
+
+@pytest.mark.parametrize("seed", [0, 1, -5, 2**64 - 1])
+@pytest.mark.parametrize("chunk", [0, 1, 5])
+def test_chunk_draws_are_the_integer_splitmix64_stream(seed, chunk):
+    # the second call is the redraw path: it continues the stream
+    rng = verify._chunk_rng(seed, chunk)
+    first = rng.random((400, 3))
+    again = rng.random((5, 3))
+    assert first.ravel().tolist() == mc_reference.chunk_draws(seed, chunk, 0, 1200)
+    assert again.ravel().tolist() == mc_reference.chunk_draws(seed, chunk, 1200, 15)
+
+
+@pytest.mark.parametrize(
+    "shape", [(1,), (verify._MC_BLOCK - 1,), (verify._MC_BLOCK + 1, 1), (1 << 16, 3)]
+)
+def test_chunk_draws_match_the_reference_across_stretches(shape):
+    rng = verify._chunk_rng(77, 2)
+    first = rng.random(shape)
+    again = rng.random((3, 2))
+    size = first.size
+    assert first.shape == shape and first.flags.writeable
+    assert not np.shares_memory(first, again)
+    assert first.ravel().tolist() == mc_reference.chunk_draws(77, 2, 0, size)
+    assert again.ravel().tolist() == mc_reference.chunk_draws(77, 2, size, 6)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 30])

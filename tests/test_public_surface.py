@@ -1,7 +1,7 @@
 """Package-wide checks: every exported name resolves, so a stale export fails
 here and not in a user's import; no function rebinds a module's state; no
-code sets mpmath's process-wide precision; and only the CLI sets Python's
-int<->str digit limit."""
+code sets mpmath's process-wide precision; only the CLI sets Python's
+int<->str digit limit; and no code uses numpy.random."""
 
 import ast
 import importlib
@@ -66,3 +66,25 @@ def test_only_the_cli_sets_the_int_str_digit_limit():
                 if name == "set_int_max_str_digits":
                     found.append(path.name)
     assert found and set(found) == {"cli.py"}, found
+
+
+def test_no_code_uses_numpy_random():
+    # importing numpy.random costs every verify run more than its whole Monte
+    # Carlo leg; the oracle's SplitMix64 draws need plain uint64 arrays only
+    found = []
+    for path in sorted(Path(zetalab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute):
+                named = node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")
+            elif isinstance(node, ast.Import):
+                named = any(alias.name.startswith("numpy.random") for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                named = module.startswith("numpy.random") or (
+                    module == "numpy" and any(alias.name == "random" for alias in node.names)
+                )
+            else:
+                named = False
+            if named:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

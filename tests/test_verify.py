@@ -363,13 +363,20 @@ def test_mc_z_shift():
         assert abs(est.mean - float(mpmath.zeta(2) - 1)) <= 4 * est.stderr
 
 
-def test_mc_validation():
+def test_mc_validation(monkeypatch):
     with pytest.raises(ValueError):
         mc_integral(legendre_coeffs(0), 1, 0, 0.0, 10**5, seed=1)
     with pytest.raises(ValueError):
         mc_integral(legendre_coeffs(0), 2, 0, -0.5, 10**5, seed=1)
     with pytest.raises(ValueError):
         mc_integral(legendre_coeffs(0), 2, 0, 0.0, 999, seed=1)
+    # past 2**40 samples the chunk counters pass 2**64; refused before any work
+    def no_work(poly):
+        raise AssertionError("mc_integral started work on too many samples")
+
+    monkeypatch.setattr(verify, "_shifted_chebyshev", no_work)
+    with pytest.raises(ValueError):
+        mc_integral(legendre_coeffs(0), 2, 0, 0.0, 2**40 + 1, seed=1)
 
 
 def test_shifted_chebyshev_clenshaw_matches_exact_values():
