@@ -243,9 +243,11 @@ def _scan_arguments(p):
 def _verify_arguments(p):
     _add_poly_selection(p)
     _add_rv(p)
-    p.add_argument("--prec", type=int, default=30)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--prec", type=int, default=30, help="decimal digits (default 30)")
+    p.add_argument(
+        "--samples", type=int, default=100_000, help="Monte Carlo samples (default 100000)"
+    )
+    p.add_argument("--seed", type=int, default=42, help="Monte Carlo seed (default 42)")
 
 
 # name: (help, add_arguments, handler); the one list of subcommands, in help order

@@ -39,11 +39,12 @@ value carries a certified absolute error bound.
 Randomness: the SplitMix64 counter-based generator, computed on numpy
 uint64 arrays (``numpy.random`` is never imported).  Sample chunk c of a
 run with seed s draws outputs c * 2**40 + 1, c * 2**40 + 2, ... of the
-stream seeded with s mod 2**64, redraws included, so no two chunks share a
-draw.  The chunk boundaries and this counter layout fix every draw, and the
-arithmetic on a chunk runs in row blocks that cannot change any result (see
-``mc_integral``), so identical (samples, seed) always reproduce the same
-estimate bit for bit.
+stream seeded with s mod 2**64, so no two chunks share a draw.  Every draw
+lies in the open interval (0, 1), so at r <= 20 no sample is singular and
+none is redrawn.  The chunk boundaries and this counter layout fix every
+draw, and the arithmetic on a chunk runs in row blocks that cannot change
+any result (see ``mc_integral``), so identical (samples, seed) always
+reproduce the same estimate bit for bit.
 
 Zeta values and their combinations run in mpf at the requested precision
 plus 10 guard digits (plus what the coefficients' size requires), and a
@@ -563,8 +564,9 @@ class MCEstimate:
     """Uniform-sampling estimate: mean +/- stderr from `samples` draws.
 
     stderr is the sample standard deviation over sqrt(samples).  rejected
-    counts redraws of samples that landed exactly on a singular point of
-    the integrand (probability zero, possible in finite precision).
+    is always 0: the draws avoid the cube's faces and corner, so no sample
+    lands on a singular point and none is redrawn.  The field stays
+    because the JSON report and the benchmark's tracer read it.
     Bit-for-bit reproducible from (samples, seed).
     """
 
@@ -587,48 +589,26 @@ class MCEstimate:
 _SM64_GAMMA = 0x9E3779B97F4A7C15
 
 
-class _SplitMix64:
-    """The SplitMix64 stream of seed x0, read as doubles in [0, 1).
+def _draws(x0: int, first: int, shape) -> np.ndarray:
+    """Outputs first, first + 1, ... of the SplitMix64 stream of seed x0, as doubles in (0, 1).
 
     Output k >= 1 is mix(x0 + k * _SM64_GAMMA mod 2**64) (Steele, Lea &
-    Flood, OOPSLA 2014), and its double is (output >> 11) * 2**-53.  ``random``
-    returns the next outputs in row-major order and advances past them.  The
-    outputs are computed _MC_BLOCK at a time on uint64 arrays, whose
-    arithmetic wraps modulo 2**64 without a warning (numpy scalars warn).
+    Flood, OOPSLA 2014), filled into `shape` in row-major order.  Its double
+    is ((output >> 11) | 1) * 2**-53, the midpoint of one of 2**52 equal
+    cells of [0, 1): never 0 or 1, and its mean is exactly 1/2.  uint64
+    arrays wrap modulo 2**64 without a warning (numpy scalars warn).
     """
-
-    def __init__(self, x0: int, index: int):
-        self._x0 = x0
-        self._index = index  # k of the next output
-
-    def random(self, shape) -> np.ndarray:
-        out = np.empty(shape)
-        flat = out.reshape(-1)
-        steps = np.arange(min(flat.size, _MC_BLOCK), dtype=np.uint64)
-        steps *= _SM64_GAMMA  # j * gamma: the states of a stretch, less its first
-        z = np.empty_like(steps)
-        t = np.empty_like(steps)
-        for lo in range(0, flat.size, _MC_BLOCK):
-            n = min(_MC_BLOCK, flat.size - lo)
-            zn, tn = z[:n], t[:n]
-            np.add(steps[:n], (self._x0 + (self._index + lo) * _SM64_GAMMA) % 2**64, out=zn)
-            np.right_shift(zn, 30, out=tn)
-            zn ^= tn
-            zn *= 0xBF58476D1CE4E5B9
-            np.right_shift(zn, 27, out=tn)
-            zn ^= tn
-            zn *= 0x94D049BB133111EB
-            np.right_shift(zn, 31, out=tn)
-            zn ^= tn
-            zn >>= 11
-            np.multiply(zn, 2.0**-53, out=flat[lo : lo + n])
-        self._index += flat.size
-        return out
-
-
-def _chunk_rng(seed: int, chunk: int) -> _SplitMix64:
-    """Chunk c's draws: outputs c * 2**40 + 1, + 2, ... of the stream of seed mod 2**64."""
-    return _SplitMix64(int(seed) % 2**64, (chunk << 40) + 1)
+    z = np.arange(math.prod(shape), dtype=np.uint64)
+    z *= _SM64_GAMMA
+    z += (x0 + first * _SM64_GAMMA) % 2**64
+    z ^= z >> 30
+    z *= 0xBF58476D1CE4E5B9
+    z ^= z >> 27
+    z *= 0x94D049BB133111EB
+    z ^= z >> 31
+    z >>= 11
+    z |= 1
+    return (z * 2.0**-53).reshape(shape)
 
 
 def _shifted_chebyshev(poly: Poly) -> np.ndarray:
@@ -700,18 +680,22 @@ def mc_integral(
 
         int (x1...xr)**z (-log(x1...xr))**v / (1 - x1...xr) * prod R(xi) dx.
 
-    z >= 0 keeps all poles outside the cube.  Samples that hit a singular
-    point exactly (product equal to 1, always; product equal to 0 when a
-    log power makes the faces singular) are rejected and redrawn from the
-    same substream; the count is reported.
+    z >= 0 keeps all poles outside the cube.  Every draw lies in
+    [2**-53, 1 - 2**-53] (see _draws), so the integrand is finite at every
+    sample: a rounded product never exceeds its first factor, so
+    1 / (1 - x1...xr) <= 2**53, and for r <= 20 the product is at least
+    2**-1060 > 0, so its log is finite.  No sample is redrawn, and the
+    estimate's rejected count is always 0.  (Past r = 20 a product can
+    underflow to 0, and a log power then makes the estimate non-finite.)
 
-    Each chunk of draws is evaluated in blocks of _MC_BLOCK rows, small
-    enough that a block's temporaries stay in cache.  The block size cannot
-    change a result: every operation on a block is elementwise, in the same
-    order as over the whole chunk, and a block starts a multiple of
-    _MC_BLOCK rows into the chunk, so even a vectorized loop sees each
-    element at the same offset and alignment.  The two sums run once per
-    chunk, over the whole chunk's integrand values.
+    Rows [lo, hi) of chunk c are outputs c * 2**40 + 1 + lo * r, ... of the
+    stream, drawn and evaluated in blocks of _MC_BLOCK rows, small enough
+    that a block's temporaries stay in cache.  The block size cannot change
+    a result: every operation on a block is elementwise, in the same order
+    as over the whole chunk, and a block starts a multiple of _MC_BLOCK
+    rows into the chunk, so even a vectorized loop sees each element at the
+    same offset.  The two sums run once per chunk, over the whole chunk's
+    integrand values.
     """
     poly = check_series_args(poly, r, v)
     z = float(z)
@@ -722,11 +706,10 @@ def mc_integral(
     if samples > 2**40:  # 2**24 chunks, 2**40 counters apart, span all 2**64
         raise ValueError("samples must be <= 2**40")
     cheb = _shifted_chebyshev(poly)
-    reject_faces = v >= 1
+    x0 = int(seed) % 2**64
     fx = np.empty(min(_MC_CHUNK, samples))
     sums: list[float] = []
     sqs: list[float] = []
-    rejected = 0
     done = 0
     chunk = 0
     # an integrand past float64 overflows to inf and its square's sum to
@@ -734,30 +717,16 @@ def mc_integral(
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while done < samples:
             m = min(_MC_CHUNK, samples - done)
-            rng = _chunk_rng(seed, chunk)
-            u = rng.random((m, r))
-            prod = _row_products(u)
-            for _ in range(100):
-                bad = prod == 1.0
-                if reject_faces:
-                    bad |= prod == 0.0
-                nbad = int(bad.sum())
-                if nbad == 0:
-                    break
-                rejected += nbad
-                u[bad] = rng.random((nbad, r))
-                prod[bad] = _row_products(u[bad])
-            else:
-                raise RuntimeError("singular-sample rejection did not settle")
             for lo in range(0, m, _MC_BLOCK):
                 hi = min(lo + _MC_BLOCK, m)
-                p = prod[lo:hi]
+                u = _draws(x0, (chunk << 40) + 1 + lo * r, (hi - lo, r))
+                p = _row_products(u)
                 weight = 1.0 / (1.0 - p)
                 if v:
                     weight *= (-np.log(p)) ** v
                 if z > 0:
                     weight *= p**z
-                _row_products(_clenshaw(cheb, u[lo:hi]), out=fx[lo:hi])
+                _row_products(_clenshaw(cheb, u), out=fx[lo:hi])
                 fx[lo:hi] *= weight
             sums.append(float(np.sum(fx[:m])))
             sqs.append(float(np.sum(fx[:m] * fx[:m])))
@@ -774,7 +743,7 @@ def mc_integral(
         stderr=math.sqrt(var / samples),
         samples=samples,
         seed=seed,
-        rejected=rejected,
+        rejected=0,
     )
 
 

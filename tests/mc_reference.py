@@ -1,15 +1,15 @@
 """The Monte Carlo oracle as one pass over each sample chunk, kept as a test reference.
 
-``zetalab.verify.mc_integral`` walks each chunk in cache-sized row blocks.
-This is the straightforward spelling it replaced: every numpy operation runs
-over the whole chunk, and R is evaluated one column of samples at a time.
-The draws, the rejection rule and the order of every floating-point
-operation are the same, so the tests require ``==`` estimates.
+``zetalab.verify.mc_integral`` draws and evaluates each chunk in cache-sized
+row blocks.  This is the straightforward spelling it replaced: every numpy
+operation runs over the whole chunk, and R is evaluated one column of samples
+at a time.  The draws and the order of every floating-point operation are
+the same, so the tests require ``==`` estimates.
 
-The generator is looked up on the ``verify`` module at each chunk, so a test
-that replaces ``verify._chunk_rng`` changes the draws of both spellings.
-``chunk_draws`` spells out, in Python integers, the draws ``verify._chunk_rng``
-must return: the SplitMix64 stream, one output per draw.
+Each chunk's draws come from ``verify._draws``, looked up on the module at
+each chunk.  ``chunk_draws`` spells out, in Python integers, the draws it
+must return: the SplitMix64 stream, one output per draw, each mapped to the
+midpoint of one of 2**52 equal cells of [0, 1).
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ def chunk_draws(seed: int, chunk: int, start: int, count: int) -> list[float]:
     """Draws start, start + 1, ..., start + count - 1 (from 0) of a chunk.
 
     Draw i of chunk c is output c * 2**40 + 1 + i of the stream seeded with
-    seed mod 2**64, its top 53 bits scaled to [0, 1).
+    seed mod 2**64, its top 52 bits, then a 1, scaled by 2**-53: an odd
+    multiple of 2**-53 in [2**-53, 1 - 2**-53].
     """
-    first = chunk * 2**40 + 1 + start
-    return [(splitmix64(seed % 2**64, k) >> 11) * 2.0**-53 for k in range(first, first + count)]
+    x0, first = seed % 2**64, chunk * 2**40 + 1 + start
+    return [((splitmix64(x0, k) >> 11) | 1) * 2.0**-53 for k in range(first, first + count)]
 
 
 def clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -59,35 +60,19 @@ def mc_integral(poly, r: int, v: int, z: float = 0.0, samples: int = 100_000, se
     if samples < 10**4:
         raise ValueError("samples must be >= 10**4")
     cheb = verify._shifted_chebyshev(poly)
-    reject_faces = v >= 1
     sums: list[float] = []
     sqs: list[float] = []
-    rejected = 0
     done = 0
     chunk = 0
     while done < samples:
         m = min(verify._MC_CHUNK, samples - done)
-        rng = verify._chunk_rng(seed, chunk)
-        u = rng.random((m, r))
+        u = verify._draws(seed % 2**64, chunk * 2**40 + 1, (m, r))
         prod = u.prod(axis=1)
-        for _ in range(100):
-            bad = prod == 1.0
-            if reject_faces:
-                bad |= prod == 0.0
-            nbad = int(bad.sum())
-            if nbad == 0:
-                break
-            rejected += nbad
-            u[bad] = rng.random((nbad, r))
-            prod[bad] = u[bad].prod(axis=1)
-        else:
-            raise RuntimeError("singular-sample rejection did not settle")
-        with np.errstate(divide="ignore"):
-            weight = 1.0 / (1.0 - prod)
-            if v:
-                weight = weight * (-np.log(prod)) ** v
-            if z > 0:
-                weight = weight * prod**z
+        weight = 1.0 / (1.0 - prod)
+        if v:
+            weight = weight * (-np.log(prod)) ** v
+        if z > 0:
+            weight = weight * prod**z
         fx = weight * math.prod(clenshaw(cheb, column) for column in u.T)
         sums.append(float(np.sum(fx)))
         sqs.append(float(np.sum(fx * fx)))
@@ -102,5 +87,5 @@ def mc_integral(poly, r: int, v: int, z: float = 0.0, samples: int = 100_000, se
         stderr=math.sqrt(var / samples),
         samples=samples,
         seed=seed,
-        rejected=rejected,
+        rejected=0,
     )

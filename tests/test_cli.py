@@ -52,6 +52,14 @@ def test_moment_json(capsys):
     }
 
 
+def test_moment_csv(capsys):
+    assert main(["moment", "--n", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == (
+        'part,coefficients\r\nnumerator,"[""0"", ""-1""]"\r\n'
+        'denominator,"[""2"", ""3"", ""1""]"\r\n'
+    )
+
+
 def test_decompose_json(capsys):
     assert main(["decompose", "--n", "0", "--r", "3", "--v", "2"]) == 0
     obj = json.loads(capsys.readouterr().out)
@@ -96,6 +104,14 @@ def test_value_json(capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["value"].startswith("2.404113806319188")
     assert float(obj["error_bound"]) < 1e-19
+
+
+def test_value_csv(capsys):
+    argv = ["value", "--n", "0", "--r", "2", "--v", "1", "--prec", "20", "--format", "csv"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == (
+        "n,r,v,precision,value,error_bound\r\n0,2,1,20,2.4041138063191885708,3.6041222e-30\r\n"
+    )
 
 
 def test_scan_csv_columns(capsys):
@@ -223,6 +239,17 @@ def test_malformed_flags_exit_2(monkeypatch, capsys):
     assert "zetalab scan: error: unrecognized arguments: --bogus" in capsys.readouterr().err
 
 
+def test_verify_help_names_its_defaults(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--prec PREC        decimal digits (default 30)" in out
+    assert "--samples SAMPLES  Monte Carlo samples (default 100000)" in out
+    assert "--seed SEED        Monte Carlo seed (default 42)" in out
+
+
 def test_only_the_invoked_commands_parser_is_built(monkeypatch, capsys):
     import zetalab.cli as cli
 
@@ -272,6 +299,8 @@ BAD_INPUT = [
     (["verify", "--n", "-1", "--r", "2", "--v", "0"], {}),
     (["decompose", "--n", "1", "--coeffs", "1,-2", "--r", "2", "--v", "0"], {}),
     (["decompose", "--coeffs", "0,0", "--r", "2", "--v", "0"], {}),
+    (["decompose", "--coeffs=1,x", "--r", "2", "--v", "0"], {}),
+    (["value", "--r", "2", "--v", "0"], {}),
     (["decompose", "--n", "1", "--r", "1", "--v", "0"], {}),
     (["value", "--n", "1", "--r", "2", "--v", "-1"], {}),
     (["value", "--n", "1", "--r", "2", "--v", "0", "--prec", "5"], {}),

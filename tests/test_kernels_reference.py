@@ -6,6 +6,7 @@ one-pass spelling in ``mc_reference``.
 """
 
 import itertools
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -268,28 +269,62 @@ def test_splitmix64_reference_gives_the_published_outputs():
 
 
 @pytest.mark.parametrize("seed", [0, 1, -5, 2**64 - 1])
-@pytest.mark.parametrize("chunk", [0, 1, 5])
+@pytest.mark.parametrize("chunk", [0, 1, 5, 2**24 - 1])
 def test_chunk_draws_are_the_integer_splitmix64_stream(seed, chunk):
-    # the second call is the redraw path: it continues the stream
-    rng = verify._chunk_rng(seed, chunk)
-    first = rng.random((400, 3))
-    again = rng.random((5, 3))
-    assert first.ravel().tolist() == mc_reference.chunk_draws(seed, chunk, 0, 1200)
-    assert again.ravel().tolist() == mc_reference.chunk_draws(seed, chunk, 1200, 15)
+    # the last chunk's counters come within 2**40 of 2**64; every state x0 + k * gamma wraps
+    first = chunk * 2**40 + 1
+    rows = verify._draws(seed % 2**64, first, (400, 3))
+    more = verify._draws(seed % 2**64, first + 1200, (5, 3))
+    assert rows.ravel().tolist() == mc_reference.chunk_draws(seed, chunk, 0, 1200)
+    assert more.ravel().tolist() == mc_reference.chunk_draws(seed, chunk, 1200, 15)
 
 
 @pytest.mark.parametrize(
-    "shape", [(1,), (verify._MC_BLOCK - 1,), (verify._MC_BLOCK + 1, 1), (1 << 16, 3)]
+    "shape", [(1,), (verify._MC_BLOCK - 1, 1), (verify._MC_BLOCK + 1, 1), (1 << 16, 3)]
 )
 def test_chunk_draws_match_the_reference_across_stretches(shape):
-    rng = verify._chunk_rng(77, 2)
-    first = rng.random(shape)
-    again = rng.random((3, 2))
-    size = first.size
-    assert first.shape == shape and first.flags.writeable
-    assert not np.shares_memory(first, again)
-    assert first.ravel().tolist() == mc_reference.chunk_draws(77, 2, 0, size)
-    assert again.ravel().tolist() == mc_reference.chunk_draws(77, 2, size, 6)
+    # one call draws one stretch of counters, of any length, in row-major order
+    u = verify._draws(77, 2 * 2**40 + 1, shape)
+    assert u.shape == shape and u.flags.writeable
+    assert u.ravel().tolist() == mc_reference.chunk_draws(77, 2, 0, u.size)
+
+
+def _unxorshift(y: int, shift: int) -> int:
+    z = y
+    for _ in range(64 // shift):
+        z = y ^ (z >> shift)
+    return z
+
+
+def _splitmix64_state(out: int) -> int:
+    """The state that SplitMix64's mix takes to `out`: its steps undone in reverse."""
+    z = _unxorshift(out, 31) * pow(0x94D049BB133111EB, -1, 2**64) % 2**64
+    z = _unxorshift(z, 27) * pow(0xBF58476D1CE4E5B9, -1, 2**64) % 2**64
+    return _unxorshift(z, 30)
+
+
+def test_extreme_outputs_map_inside_the_open_interval():
+    # the outputs 0 and 2**64 - 1 become the end cells' midpoints, on which
+    # the integrand stays finite: a product of 20 smallest draws does not
+    # underflow to 0, and one of up to 1000 largest draws stays below 1
+    ends = []
+    for out in (0, 2**64 - 1):
+        x0 = (_splitmix64_state(out) - 0x9E3779B97F4A7C15) % 2**64
+        assert mc_reference.splitmix64(x0, 1) == out
+        ends.append(float(verify._draws(x0, 1, (1,))[0]))
+    lo, hi = ends
+    assert (lo, hi) == (2.0**-53, 1 - 2.0**-53)
+    assert verify._row_products(np.full((1, 20), lo))[0] > 0
+    # row k - 2 holds k copies of hi, padded with exact 1.0 factors
+    rows = np.where(np.tri(999, 1000, 1, dtype=bool), hi, 1.0)
+    assert (verify._row_products(rows) < 1).all()
+
+
+def test_mc_integral_with_underflowing_products_is_non_finite():
+    # at r = 800 nearly every product of draws underflows to 0, where the
+    # log power is infinite: the estimate reports it, without an error
+    est = verify.mc_integral(legendre_coeffs(0), 800, 1, 0.0, 10**4, 1)
+    assert not math.isfinite(est.mean)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 30])
@@ -321,41 +356,3 @@ def test_mc_integral_matches_reference_off_the_block_and_chunk_sizes(samples):
 def test_mc_integral_matches_reference_on_random_integer_polys(coeffs, r, v, z, seed):
     args = (Poly(coeffs), r, v, z, 10**4 + 1, seed)
     assert verify.mc_integral(*args) == mc_reference.mc_integral(*args)
-
-
-class _PlantedDraws:
-    """A chunk's generator whose first draw carries exact singular points.
-
-    Every seventh row, from row 0, is all 1.0: product 1, always singular.
-    Every seventh row from row 3 starts with 0.0: product 0, singular only
-    under a log power.  The redraws come from the real stream.
-    """
-
-    def __init__(self, rng):
-        self._rng = rng
-        self._first = True
-
-    def random(self, shape):
-        u = self._rng.random(shape)
-        if self._first:
-            self._first = False
-            u[::7] = 1.0
-            u[3::7, 0] = 0.0
-        return u
-
-
-def test_mc_rejection_redraws_singular_samples_like_the_reference(monkeypatch):
-    real = verify._chunk_rng
-    monkeypatch.setattr(
-        verify,
-        "_chunk_rng",
-        lambda seed, chunk: _PlantedDraws(real(seed, chunk)) if chunk == 0 else real(seed, chunk),
-    )
-    m = verify._MC_CHUNK
-    ones, zeros = len(range(0, m, 7)), len(range(3, m, 7))
-    for v in range(4):
-        for z in (0.0, 0.5):
-            args = (legendre_coeffs(1), 3, v, z, 70001, 9)
-            est = verify.mc_integral(*args)
-            assert est.rejected == (ones + zeros if v else ones), (v, z)
-            assert est == mc_reference.mc_integral(*args), (v, z)

@@ -329,20 +329,40 @@ def test_mc_reproducible_bit_for_bit():
     assert c.mean != a.mean
 
 
-def test_mc_chunking_invariant():
-    # totals must not depend on how samples split across chunks beyond the
-    # fixed boundaries: 10**5 spans two chunks, and prefixes reuse the
-    # leading substreams, so the first-chunk contribution is shared
-    a = mc_integral(legendre_coeffs(0), 2, 0, 0.0, 10**4, seed=3)
-    b = mc_integral(legendre_coeffs(0), 2, 0, 0.0, 10**4, seed=3)
-    assert a == b
+def test_mc_chunking_invariant(monkeypatch):
+    # the counter layout alone fixes every draw: a 10**4-sample run draws
+    # the first 10**4 rows of a 10**5-sample run, which spans two chunks
+    real = verify._draws
+    calls = []
+
+    def recording(x0, first, shape):
+        u = real(x0, first, shape)
+        calls.append((first, u.copy()))  # mc_integral overwrites u
+        return u
+
+    monkeypatch.setattr(verify, "_draws", recording)
+    runs = []
+    for samples in (10**4, 10**5):
+        calls.clear()
+        mc_integral(legendre_coeffs(0), 2, 0, 0.0, samples, seed=3)
+        runs.append(list(calls))
+    short, long = runs
+    # row lo of chunk c is counter c * 2**40 + 1 + lo * r, with r = 2
+    block = verify._MC_BLOCK
+    chunk0 = [1 + 2 * lo for lo in range(0, verify._MC_CHUNK, block)]
+    chunk1 = [2**40 + 1 + 2 * lo for lo in range(0, 10**5 - verify._MC_CHUNK, block)]
+    assert [first for first, _ in long] == chunk0 + chunk1
+    short_rows = np.concatenate([u for _, u in short])
+    long_rows = np.concatenate([u for _, u in long])
+    assert short_rows.shape == (10**4, 2)
+    assert np.array_equal(short_rows, long_rows[: 10**4])
 
 
 def test_mc_stderr_definition():
     est = mc_integral(legendre_coeffs(0), 2, 0, 0.0, 10**4, seed=1)
     assert est.samples == 10**4
     assert est.stderr > 0
-    assert est.rejected >= 0
+    assert est.rejected == 0
 
 
 def test_mc_overflowed_estimate_reports_a_non_finite_stderr():
