@@ -31,7 +31,7 @@ for target in ("1e-6", "1e-10", "1e-14"):
 
 print()
 print("The sampler is a counter-based (SplitMix64) generator: same seed, same")
-print("estimate, bit for bit; chunk substreams make the order irrelevant.")
+print("estimate, bit for bit; each sample's draws are fixed by its counters.")
 a = mc_integral(legendre_coeffs(0), 3, 2, 0.0, 100_000, seed=7)
 b = mc_integral(legendre_coeffs(0), 3, 2, 0.0, 100_000, seed=7)
 print(f"  run 1: mean={a.mean!r}")

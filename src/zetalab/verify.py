@@ -37,14 +37,14 @@ provably below 3 / ((3+sqrt(8))**n * |1 - 2**(1-j)|), so every returned
 value carries a certified absolute error bound.
 
 Randomness: the SplitMix64 counter-based generator, computed on numpy
-uint64 arrays (``numpy.random`` is never imported).  Sample chunk c of a
-run with seed s draws outputs c * 2**40 + 1, c * 2**40 + 2, ... of the
-stream seeded with s mod 2**64, so no two chunks share a draw.  Every draw
-lies in the open interval (0, 1), so at r <= 20 no sample is singular and
-none is redrawn.  The chunk boundaries and this counter layout fix every
-draw, and the arithmetic on a chunk runs in row blocks that cannot change
-any result (see ``mc_integral``), so identical (samples, seed) always
-reproduce the same estimate bit for bit.
+uint64 arrays (``numpy.random`` is never imported).  Sample i of a run with
+seed s in r dimensions is outputs i * r + 1, ..., i * r + r of the stream
+seeded with s mod 2**64, so no two samples share a draw, and a shorter run
+draws the first samples of a longer one.  Every draw lies in the open
+interval (0, 1), so at r <= 20 no sample is singular and none is redrawn.
+The counters fix every draw, and the blocks the samples are summed in
+depend only on r, so identical (samples, seed) always reproduce the same
+estimate bit for bit.
 
 Zeta values and their combinations run in mpf at the requested precision
 plus 10 guard digits (plus what the coefficients' size requires), and a
@@ -102,8 +102,7 @@ __all__ = [
     "shifted_series_value",
 ]
 
-_MC_CHUNK = 1 << 16
-_MC_BLOCK = 1 << 13
+_MC_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -561,13 +560,15 @@ def direct_sum_value(poly: Poly, r: int, v: int, target_error) -> HighPrecisionV
 
 @dataclass(frozen=True)
 class MCEstimate:
-    """Uniform-sampling estimate: mean +/- stderr from `samples` draws.
+    """Uniform-sampling estimate: mean +/- stderr from `samples` points of the cube.
 
     stderr is the sample standard deviation over sqrt(samples).  rejected
     is always 0: the draws avoid the cube's faces and corner, so no sample
     lands on a singular point and none is redrawn.  The field stays
     because the JSON report and the benchmark's tracer read it.
-    Bit-for-bit reproducible from (samples, seed).
+    Bit-for-bit reproducible from (samples, seed): the seed fixes the
+    stream, and point i takes its r coordinates from outputs i * r + 1, ...,
+    i * r + r.
     """
 
     mean: float
@@ -660,9 +661,9 @@ def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _row_products(u: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _row_products(u: np.ndarray) -> np.ndarray:
     """u.prod(axis=1) bit for bit: the columns multiplied left to right."""
-    out = np.multiply(u[:, 0], u[:, 1], out=out)
+    out = u[:, 0] * u[:, 1]
     for k in range(2, u.shape[1]):
         out *= u[:, k]
     return out
@@ -688,14 +689,12 @@ def mc_integral(
     estimate's rejected count is always 0.  (Past r = 20 a product can
     underflow to 0, and a log power then makes the estimate non-finite.)
 
-    Rows [lo, hi) of chunk c are outputs c * 2**40 + 1 + lo * r, ... of the
-    stream, drawn and evaluated in blocks of _MC_BLOCK rows, small enough
-    that a block's temporaries stay in cache.  The block size cannot change
-    a result: every operation on a block is elementwise, in the same order
-    as over the whole chunk, and a block starts a multiple of _MC_BLOCK
-    rows into the chunk, so even a vectorized loop sees each element at the
-    same offset.  The two sums run once per chunk, over the whole chunk's
-    integrand values.
+    Sample i is outputs i * r + 1, ..., i * r + r of the stream, so
+    samples * r must stay below 2**64, or the counters would wrap.  The
+    samples are drawn and evaluated in blocks of _MC_BLOCK // r rows (at
+    least one), so a block holds at most max(_MC_BLOCK, r) draws and its
+    arrays stay small at any r.  Each block adds its sum and its sum of
+    squares to the two lists that math.fsum adds up.
     """
     poly = check_series_args(poly, r, v)
     z = float(z)
@@ -703,35 +702,27 @@ def mc_integral(
         raise ValueError("z must be >= 0 (negative z moves poles into range)")
     if samples < 10**4:
         raise ValueError("samples must be >= 10**4")
-    if samples > 2**40:  # 2**24 chunks, 2**40 counters apart, span all 2**64
-        raise ValueError("samples must be <= 2**40")
+    if samples * r >= 2**64:
+        raise ValueError("samples * r must be < 2**64, the SplitMix64 counter range")
     cheb = _shifted_chebyshev(poly)
     x0 = int(seed) % 2**64
-    fx = np.empty(min(_MC_CHUNK, samples))
+    rows = max(1, _MC_BLOCK // r)
     sums: list[float] = []
     sqs: list[float] = []
-    done = 0
-    chunk = 0
     # an integrand past float64 overflows to inf and its square's sum to
     # NaN; the estimate then reports them, so numpy need not warn
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        while done < samples:
-            m = min(_MC_CHUNK, samples - done)
-            for lo in range(0, m, _MC_BLOCK):
-                hi = min(lo + _MC_BLOCK, m)
-                u = _draws(x0, (chunk << 40) + 1 + lo * r, (hi - lo, r))
-                p = _row_products(u)
-                weight = 1.0 / (1.0 - p)
-                if v:
-                    weight *= (-np.log(p)) ** v
-                if z > 0:
-                    weight *= p**z
-                _row_products(_clenshaw(cheb, u), out=fx[lo:hi])
-                fx[lo:hi] *= weight
-            sums.append(float(np.sum(fx[:m])))
-            sqs.append(float(np.sum(fx[:m] * fx[:m])))
-            done += m
-            chunk += 1
+        for lo in range(0, samples, rows):
+            u = _draws(x0, 1 + lo * r, (min(rows, samples - lo), r))
+            p = _row_products(u)
+            fx = 1.0 / (1.0 - p)
+            if v:
+                fx *= (-np.log(p)) ** v
+            if z > 0:
+                fx *= p**z
+            fx *= _row_products(_clenshaw(cheb, u))
+            sums.append(float(np.sum(fx)))
+            sqs.append(float(np.sum(fx * fx)))
     s1 = math.fsum(sums)
     s2 = math.fsum(sqs)
     mean = s1 / samples
@@ -818,10 +809,12 @@ def crosscheck(
     errors.
     """
     poly = check_series_args(poly, r, v)
+    # the Monte Carlo leg first: it refuses a bad sample count before the
+    # exact and direct legs spend any time
+    mc = mc_integral(poly, r, v, 0.0, samples, seed)
     exact = eval_combination(decompose(poly, r, v), precision)
     target = Fraction(1, 10**precision)
     direct, direct_K = _direct_sum(poly, r, v, target)
-    mc = mc_integral(poly, r, v, 0.0, samples, seed)
     exact_value = _mpf_to_fraction(exact.value)
     direct_bound = _mpf_to_fraction(direct.error_bound)
     gap = abs(exact_value - _mpf_to_fraction(direct.value))

@@ -1,15 +1,17 @@
-"""The Monte Carlo oracle as one pass over each sample chunk, kept as a test reference.
+"""The Monte Carlo oracle as one pass over all samples, kept as a test reference.
 
-``zetalab.verify.mc_integral`` draws and evaluates each chunk in cache-sized
-row blocks.  This is the straightforward spelling it replaced: every numpy
-operation runs over the whole chunk, and R is evaluated one column of samples
-at a time.  The draws and the order of every floating-point operation are
-the same, so the tests require ``==`` estimates.
+``zetalab.verify.mc_integral`` draws and evaluates the samples in blocks of
+``_MC_BLOCK // r`` rows.  This is the straightforward spelling: it draws
+every sample at once, every numpy operation runs over all of them, and R is
+evaluated one column of samples at a time.  Only the sums are taken over
+consecutive slices of the same rows as the blocks.  The draws and the order
+of every floating-point operation are the same, so the tests require ``==``
+estimates.
 
-Each chunk's draws come from ``verify._draws``, looked up on the module at
-each chunk.  ``chunk_draws`` spells out, in Python integers, the draws it
-must return: the SplitMix64 stream, one output per draw, each mapped to the
-midpoint of one of 2**52 equal cells of [0, 1).
+The draws come from ``verify._draws``, looked up on the module at each run.
+``stream_draws`` spells out, in Python integers, the draws it must return:
+the SplitMix64 stream, one output per draw, each mapped to the midpoint of
+one of 2**52 equal cells of [0, 1).
 """
 
 from __future__ import annotations
@@ -30,14 +32,14 @@ def splitmix64(x0: int, k: int) -> int:
     return z ^ (z >> 31)
 
 
-def chunk_draws(seed: int, chunk: int, start: int, count: int) -> list[float]:
-    """Draws start, start + 1, ..., start + count - 1 (from 0) of a chunk.
+def stream_draws(seed: int, first: int, count: int) -> list[float]:
+    """The draws of outputs first, first + 1, ..., first + count - 1 of the stream.
 
-    Draw i of chunk c is output c * 2**40 + 1 + i of the stream seeded with
-    seed mod 2**64, its top 52 bits, then a 1, scaled by 2**-53: an odd
-    multiple of 2**-53 in [2**-53, 1 - 2**-53].
+    Each is output k of the stream seeded with seed mod 2**64, its top 52
+    bits, then a 1, scaled by 2**-53: an odd multiple of 2**-53 in
+    [2**-53, 1 - 2**-53].
     """
-    x0, first = seed % 2**64, chunk * 2**40 + 1 + start
+    x0 = seed % 2**64
     return [((splitmix64(x0, k) >> 11) | 1) * 2.0**-53 for k in range(first, first + count)]
 
 
@@ -52,7 +54,7 @@ def clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def mc_integral(poly, r: int, v: int, z: float = 0.0, samples: int = 100_000, seed: int = 0):
-    """verify.mc_integral's estimate, one whole-chunk numpy pass per step."""
+    """verify.mc_integral's estimate, from one numpy pass over all samples."""
     poly = check_series_args(poly, r, v)
     z = float(z)
     if z < 0:
@@ -60,24 +62,18 @@ def mc_integral(poly, r: int, v: int, z: float = 0.0, samples: int = 100_000, se
     if samples < 10**4:
         raise ValueError("samples must be >= 10**4")
     cheb = verify._shifted_chebyshev(poly)
-    sums: list[float] = []
-    sqs: list[float] = []
-    done = 0
-    chunk = 0
-    while done < samples:
-        m = min(verify._MC_CHUNK, samples - done)
-        u = verify._draws(seed % 2**64, chunk * 2**40 + 1, (m, r))
-        prod = u.prod(axis=1)
-        weight = 1.0 / (1.0 - prod)
-        if v:
-            weight = weight * (-np.log(prod)) ** v
-        if z > 0:
-            weight = weight * prod**z
-        fx = weight * math.prod(clenshaw(cheb, column) for column in u.T)
-        sums.append(float(np.sum(fx)))
-        sqs.append(float(np.sum(fx * fx)))
-        done += m
-        chunk += 1
+    u = verify._draws(seed % 2**64, 1, (samples, r))
+    prod = u.prod(axis=1)
+    weight = 1.0 / (1.0 - prod)
+    if v:
+        weight = weight * (-np.log(prod)) ** v
+    if z > 0:
+        weight = weight * prod**z
+    fx = weight * math.prod(clenshaw(cheb, column) for column in u.T)
+    rows = max(1, verify._MC_BLOCK // r)
+    blocks = [fx[lo : lo + rows] for lo in range(0, samples, rows)]
+    sums = [float(np.sum(b)) for b in blocks]
+    sqs = [float(np.sum(b * b)) for b in blocks]
     s1 = math.fsum(sums)
     s2 = math.fsum(sqs)
     mean = s1 / samples

@@ -307,7 +307,7 @@ BAD_INPUT = [
     (["scan", "--r", "2", "--v", "0", "--n-max", "1", "--prec", "5"], {}),
     (["verify", "--n", "1", "--r", "2", "--v", "0", "--prec", "5"], {}),
     (["verify", "--n", "0", "--r", "2", "--v", "0", "--prec", "15", "--samples", "5"], {}),
-    (["verify", "--n", "0", "--r", "2", "--v", "0", "--prec", "15", "--samples", "1099511627777"], {}),
+    (["verify", "--n", "0", "--r", "2", "--v", "0", "--prec", "15", "--samples", "9223372036854775808"], {}),
     (["verify", "--n", "1", "--coeffs", "1,-2", "--r", "2", "--v", "0"], {}),
     (["verify", "--coeffs", "0,0", "--r", "2", "--v", "0"], {}),
     (["scan", "--r", "2", "--v", "0", "--n-max", "-1"], {}),

@@ -271,12 +271,13 @@ def test_splitmix64_reference_gives_the_published_outputs():
 @pytest.mark.parametrize("seed", [0, 1, -5, 2**64 - 1])
 @pytest.mark.parametrize("chunk", [0, 1, 5, 2**24 - 1])
 def test_chunk_draws_are_the_integer_splitmix64_stream(seed, chunk):
-    # the last chunk's counters come within 2**40 of 2**64; every state x0 + k * gamma wraps
+    # stretches of counters spread over the whole 2**64 range, the last
+    # within 2**40 of its end; every state x0 + k * gamma wraps
     first = chunk * 2**40 + 1
     rows = verify._draws(seed % 2**64, first, (400, 3))
     more = verify._draws(seed % 2**64, first + 1200, (5, 3))
-    assert rows.ravel().tolist() == mc_reference.chunk_draws(seed, chunk, 0, 1200)
-    assert more.ravel().tolist() == mc_reference.chunk_draws(seed, chunk, 1200, 15)
+    assert rows.ravel().tolist() == mc_reference.stream_draws(seed, first, 1200)
+    assert more.ravel().tolist() == mc_reference.stream_draws(seed, first + 1200, 15)
 
 
 @pytest.mark.parametrize(
@@ -286,7 +287,7 @@ def test_chunk_draws_match_the_reference_across_stretches(shape):
     # one call draws one stretch of counters, of any length, in row-major order
     u = verify._draws(77, 2 * 2**40 + 1, shape)
     assert u.shape == shape and u.flags.writeable
-    assert u.ravel().tolist() == mc_reference.chunk_draws(77, 2, 0, u.size)
+    assert u.ravel().tolist() == mc_reference.stream_draws(77, 2 * 2**40 + 1, u.size)
 
 
 def _unxorshift(y: int, shift: int) -> int:
@@ -339,7 +340,7 @@ def test_mc_integral_matches_reference_on_legendre_grid(n):
 
 @pytest.mark.parametrize("samples", [10**4 + 1, 70001, 131073])
 def test_mc_integral_matches_reference_off_the_block_and_chunk_sizes(samples):
-    # the last block of a chunk, and the last chunk, come up short
+    # the last block comes up short
     for n, r, v, z in ((2, 2, 0, 0.0), (1, 2, 1, 0.0), (2, 3, 2, 0.0), (30, 5, 4, 1.0)):
         args = (legendre_coeffs(n), r, v, z, samples, 3)
         assert verify.mc_integral(*args) == mc_reference.mc_integral(*args), (n, r, v, z)

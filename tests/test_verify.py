@@ -329,33 +329,54 @@ def test_mc_reproducible_bit_for_bit():
     assert c.mean != a.mean
 
 
-def test_mc_chunking_invariant(monkeypatch):
-    # the counter layout alone fixes every draw: a 10**4-sample run draws
-    # the first 10**4 rows of a 10**5-sample run, which spans two chunks
+def _record_draws(monkeypatch, copy: bool) -> list:
+    """Patch verify._draws to record (first, shape, rows) of every call."""
     real = verify._draws
     calls = []
 
     def recording(x0, first, shape):
         u = real(x0, first, shape)
-        calls.append((first, u.copy()))  # mc_integral overwrites u
+        calls.append((first, shape, u.copy() if copy else None))  # mc_integral overwrites u
         return u
 
     monkeypatch.setattr(verify, "_draws", recording)
+    return calls
+
+
+def test_mc_counters_are_contiguous_and_a_shorter_run_is_a_prefix(monkeypatch):
+    # the counters alone fix every draw: row i is outputs 2i + 1, 2i + 2 of
+    # the stream, so a 10**4-sample run draws the first 10**4 rows of a
+    # 10**5-sample run
+    calls = _record_draws(monkeypatch, copy=True)
     runs = []
     for samples in (10**4, 10**5):
         calls.clear()
         mc_integral(legendre_coeffs(0), 2, 0, 0.0, samples, seed=3)
         runs.append(list(calls))
     short, long = runs
-    # row lo of chunk c is counter c * 2**40 + 1 + lo * r, with r = 2
-    block = verify._MC_BLOCK
-    chunk0 = [1 + 2 * lo for lo in range(0, verify._MC_CHUNK, block)]
-    chunk1 = [2**40 + 1 + 2 * lo for lo in range(0, 10**5 - verify._MC_CHUNK, block)]
-    assert [first for first, _ in long] == chunk0 + chunk1
-    short_rows = np.concatenate([u for _, u in short])
-    long_rows = np.concatenate([u for _, u in long])
+    rows = verify._MC_BLOCK // 2
+    assert [first for first, _, _ in long] == [1 + 2 * lo for lo in range(0, 10**5, rows)]
+    short_rows = np.concatenate([u for _, _, u in short])
+    long_rows = np.concatenate([u for _, _, u in long])
     assert short_rows.shape == (10**4, 2)
     assert np.array_equal(short_rows, long_rows[: 10**4])
+    assert np.array_equal(long_rows, verify._draws(3, 1, (10**5, 2)))
+
+
+@pytest.mark.parametrize("r", [2, 3, 7, 800])
+def test_mc_blocks_hold_at_most_a_block_of_draws_at_any_r(monkeypatch, r):
+    # a block is counted in draws, not rows, so its arrays stay small at
+    # any r; the blocks tile the counters
+    calls = _record_draws(monkeypatch, copy=False)
+    samples = 10**4 + 1
+    mc_integral(legendre_coeffs(0), r, 0, 0.0, samples, seed=1)
+    lo = 0
+    for first, (m, width), _ in calls:
+        assert width == r
+        assert 1 <= m * r <= max(verify._MC_BLOCK, r)
+        assert first == 1 + r * lo  # no gap and no overlap with the block before
+        lo += m
+    assert lo == samples
 
 
 def test_mc_stderr_definition():
@@ -390,13 +411,18 @@ def test_mc_validation(monkeypatch):
         mc_integral(legendre_coeffs(0), 2, 0, -0.5, 10**5, seed=1)
     with pytest.raises(ValueError):
         mc_integral(legendre_coeffs(0), 2, 0, 0.0, 999, seed=1)
-    # past 2**40 samples the chunk counters pass 2**64; refused before any work
+    # samples * r counters must stay below 2**64; a run past that is
+    # refused before any work, and the largest run allowed gets to work
     def no_work(poly):
-        raise AssertionError("mc_integral started work on too many samples")
+        raise AssertionError("mc_integral started work")
 
     monkeypatch.setattr(verify, "_shifted_chebyshev", no_work)
-    with pytest.raises(ValueError):
-        mc_integral(legendre_coeffs(0), 2, 0, 0.0, 2**40 + 1, seed=1)
+    for samples, r in ((2**63, 2), (2**64 // 3 + 1, 3)):
+        with pytest.raises(ValueError):
+            mc_integral(legendre_coeffs(0), r, 0, 0.0, samples, seed=1)
+    for samples, r in ((2**63 - 1, 2), (2**64 // 3, 3)):
+        with pytest.raises(AssertionError):
+            mc_integral(legendre_coeffs(0), r, 0, 0.0, samples, seed=1)
 
 
 def test_shifted_chebyshev_clenshaw_matches_exact_values():
@@ -434,6 +460,16 @@ def test_crosscheck_cases_pass(n, r, v):
     assert rep.exact_vs_direct_ok
     assert rep.exact_vs_mc_ok
     assert rep.passed
+
+
+def test_crosscheck_refuses_too_few_samples_before_the_exact_and_direct_legs(monkeypatch):
+    def slow_leg(*args):
+        raise AssertionError("crosscheck ran an exact or direct leg first")
+
+    monkeypatch.setattr(verify, "decompose", slow_leg)
+    monkeypatch.setattr(verify, "_direct_sum", slow_leg)
+    with pytest.raises(ValueError):
+        crosscheck(legendre_coeffs(100), 3, 2, precision=30, samples=5, seed=1)
 
 
 def test_crosscheck_report_payload():
