@@ -27,7 +27,7 @@ from .cache import DecompositionCache
 from .decomp import decompose, decomposition_report
 from .polys import Poly, legendre_coeffs
 from .moments import moment_from_coeffs
-from .verify import crosscheck, eval_combination, rationality_criterion
+from .verify import _check_precision, crosscheck, eval_combination, rationality_criterion
 
 __all__ = ["main"]
 
@@ -125,6 +125,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_value(args) -> int:
     poly, n = _pick_poly(args)
+    _check_precision(args.prec)
     combo = _decomposer(args)(poly, args.r, args.v)
     hp = eval_combination(combo, args.prec)
     obj = {"n": n, "r": args.r, "v": args.v, "precision": args.prec, **hp.to_json_dict()}

@@ -202,6 +202,12 @@ def _zeta_rational(j: int, digits: int) -> tuple[Fraction, Fraction]:
     return value, bound
 
 
+def _check_precision(precision: int) -> None:
+    """The one precision check: callers run it before they spend any work."""
+    if precision < 10:
+        raise ValueError("precision must be >= 10")
+
+
 @functools.cache
 def zeta_value(j: int, precision: int) -> HighPrecisionValue:
     """zeta(j) for integer j >= 2 with certified error <= 10**-precision.
@@ -213,8 +219,7 @@ def zeta_value(j: int, precision: int) -> HighPrecisionValue:
     """
     if j < 2:
         raise ValueError("zeta_value requires j >= 2")
-    if precision < 10:
-        raise ValueError("precision must be >= 10")
+    _check_precision(precision)
     working = precision + 10
     prec = dps_to_prec(working)
     approx, trunc = _zeta_rational(j, working)
@@ -246,8 +251,7 @@ def eval_combination(combo: ZetaCombination, precision: int = 30) -> HighPrecisi
     while the value is nearly zero).  Every operation names its precision,
     so the result depends on its arguments alone.
     """
-    if precision < 10:
-        raise ValueError("precision must be >= 10")
+    _check_precision(precision)
     mag = sum((abs(q) for _, q in combo.zeta), abs(combo.constant)) + 1
     boost = _magnitude_digits(mag) + 2
     working = precision + 10 + boost
@@ -316,8 +320,7 @@ def rationality_criterion(
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if precision < 10:
-        raise ValueError("precision must be >= 10")
+    _check_precision(precision)
     if decomposer is None:
         decomposer = decompose
     records: list[CriterionRecord] = []
@@ -637,24 +640,21 @@ def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k c_k T_k(2x - 1) at every entry of x, by Clenshaw's recurrence.
 
     x is overwritten with the values and returned.  Each step is
-    b1, b2 = c_k + 2y b1 - b2, b1, with 2y formed once; the first step, from
-    b1 = b2 = 0, leaves b1 = c_n and is not run.  The rounding error is about
-    eps * sum |c_k|, which stays O(1) for polynomials such as P_n whose
-    monomial coefficients are huge and cancel.
+    b1, b2 = 2y b1 + c_k - b2, b1, with 2y formed once.  The first step, from
+    b1 = b2 = 0, gives c_n exactly, so the recurrence starts from the scalars
+    b1 = c_n, b2 = 0 (both 0 when n = 0) and numpy broadcasts them.  A scalar
+    0 is subtracted where an array of zeros was (x - 0.0 is x, -0.0 and NaN
+    included), and a + b is b + a, so every value is bit for bit that of the
+    all-arrays spelling.  The rounding error is about eps * sum |c_k|, which
+    stays O(1) for polynomials such as P_n whose monomial coefficients are
+    huge and cancel.
     """
     x *= 2.0
     x -= 1.0  # y = 2x - 1
-    b1 = np.zeros_like(x)
-    b2 = np.zeros_like(x)
-    if len(c) > 1:
-        y2 = 2.0 * x
-        b1.fill(c[-1])
-        t = np.empty_like(x)
-        for ck in c[-2:0:-1]:
-            np.multiply(y2, b1, out=t)
-            t += ck
-            t -= b2
-            b1, b2, t = t, b1, b2
+    b1, b2 = (c[-1], 0.0) if len(c) > 1 else (0.0, 0.0)
+    y2 = 2.0 * x
+    for ck in c[-2:0:-1]:
+        b1, b2 = y2 * b1 + ck - b2, b1
     x *= b1
     x += c[0]
     x -= b2
@@ -809,6 +809,7 @@ def crosscheck(
     errors.
     """
     poly = check_series_args(poly, r, v)
+    _check_precision(precision)
     # the Monte Carlo leg first: it refuses a bad sample count before the
     # exact and direct legs spend any time
     mc = mc_integral(poly, r, v, 0.0, samples, seed)

@@ -333,6 +333,23 @@ def test_bad_input_exits_2_without_traceback(argv, env, tmp_path, monkeypatch, c
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("command", ["value", "verify"])
+def test_bad_precision_exits_2_before_any_leg_runs(command, monkeypatch, capsys):
+    import zetalab.cli as cli
+    from zetalab import verify
+
+    def leg(*args, **kwargs):
+        raise AssertionError("a leg ran before the precision was checked")
+
+    for module, name in ((verify, "mc_integral"), (verify, "decompose"), (cli, "decompose")):
+        monkeypatch.setattr(module, name, leg)
+    monkeypatch.delenv("ZETALAB_CACHE", raising=False)
+    assert main([command, "--n", "100", "--r", "3", "--v", "2", "--prec", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: precision must be >= 10\n"
+    assert captured.out == ""
+
+
 def test_verify_failure_exits_1(monkeypatch, capsys):
     import zetalab.cli as cli
 

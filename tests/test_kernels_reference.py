@@ -328,6 +328,26 @@ def test_mc_integral_with_underflowing_products_is_non_finite():
     assert not math.isfinite(est.mean)
 
 
+def _clenshaw_matches_reference(poly: Poly, seed: int) -> None:
+    cheb = verify._shifted_chebyshev(poly)
+    x = verify._draws(seed, 1, (4096,))
+    expected = mc_reference.clenshaw(cheb, x)
+    assert np.array_equal(verify._clenshaw(cheb, x.copy()), expected), poly.coeffs
+
+
+def test_clenshaw_matches_reference_on_p0_to_p8_and_a_constant():
+    # len(c) = 1 (P_0 and the constant 7), 2, 3 and up to 9
+    for n in range(9):
+        _clenshaw_matches_reference(legendre_coeffs(n), n)
+    _clenshaw_matches_reference(Poly([7]), 9)
+
+
+@settings(max_examples=40)
+@given(coeffs=st.one_of(_dense, _sparse).filter(any), seed=st.integers(0, 2**64 - 1))
+def test_clenshaw_matches_reference_on_random_integer_polys(coeffs, seed):
+    _clenshaw_matches_reference(Poly(coeffs), seed)
+
+
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 30])
 def test_mc_integral_matches_reference_on_legendre_grid(n):
     poly = legendre_coeffs(n)
