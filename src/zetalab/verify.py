@@ -640,21 +640,23 @@ def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     """sum_k c_k T_k(2x - 1) at every entry of x, by Clenshaw's recurrence.
 
     x is overwritten with the values and returned.  Each step is
-    b1, b2 = 2y b1 + c_k - b2, b1, with 2y formed once.  The first step, from
-    b1 = b2 = 0, gives c_n exactly, so the recurrence starts from the scalars
-    b1 = c_n, b2 = 0 (both 0 when n = 0) and numpy broadcasts them.  A scalar
-    0 is subtracted where an array of zeros was (x - 0.0 is x, -0.0 and NaN
-    included), and a + b is b + a, so every value is bit for bit that of the
-    all-arrays spelling.  The rounding error is about eps * sum |c_k|, which
-    stays O(1) for polynomials such as P_n whose monomial coefficients are
-    huge and cancel.
+    b1, b2 = 2y b1 + c_k - b2, b1, done in place in one new array, with 2y
+    formed once if a step runs.  The first step from b1 = b2 = 0 gives c_n
+    exactly, so b1 = c_n, b2 = 0 start as scalars (both 0 when n = 0);
+    x - 0.0 is x and a + b is b + a, so every value is bit for bit that of
+    zero-filled arrays.  The rounding error is about eps * sum |c_k|, O(1)
+    even for P_n, whose monomial coefficients are huge and cancel.
     """
     x *= 2.0
     x -= 1.0  # y = 2x - 1
     b1, b2 = (c[-1], 0.0) if len(c) > 1 else (0.0, 0.0)
-    y2 = 2.0 * x
-    for ck in c[-2:0:-1]:
-        b1, b2 = y2 * b1 + ck - b2, b1
+    if len(c) > 2:
+        y2 = 2.0 * x
+        for ck in c[-2:0:-1]:
+            t = y2 * b1
+            t += ck
+            t -= b2
+            b1, b2 = t, b1
     x *= b1
     x += c[0]
     x -= b2
