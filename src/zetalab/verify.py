@@ -14,8 +14,12 @@ Three independent evaluation paths cross-check each other:
    Euler-Maclaurin tail comes from M's expansion at s = infinity (integer
    power sums of the pole positions), with certified bounds on the
    dropped expansion terms (Cauchy's estimate on a bound for |M|) and on
-   the remainder.  It never expands G, and it touches neither partial
-   fractions, nor the Laurent expansions at the poles, nor zeta values;
+   the remainder.  The Euler-Maclaurin loop runs on integers too: its
+   stopping tests are cross-multiplied comparisons, its corrections one
+   numerator over one denominator, and each Bernoulli number is computed
+   once per process; only the result becomes a Fraction.  It never expands
+   G, and it touches neither partial fractions, nor the Laurent expansions
+   at the poles, nor zeta values;
 3. ``mc_integral``: plain uniform Monte Carlo over the unit cube.  The
    integrable singularities (log powers at the faces, the simple pole at
    the corner of the cube) keep the variance finite at desk scale, at the
@@ -40,8 +44,11 @@ Randomness: the SplitMix64 counter-based generator, computed on numpy
 uint64 arrays (``numpy.random`` is never imported).  Sample i of a run with
 seed s in r dimensions is outputs i * r + 1, ..., i * r + r of the stream
 seeded with s mod 2**64, so no two samples share a draw, and a shorter run
-draws the first samples of a longer one.  Every draw lies in the open
-interval (0, 1), so at r <= 20 no sample is singular and none is redrawn.
+draws the first samples of a longer one.  A block's counters start from one
+read-only array built once per process, and each output becomes its double
+through its bit pattern, with no integer-to-float conversion.  Every draw
+lies in the open interval (0, 1), so at r <= 20 no sample is singular and
+none is redrawn.
 The counters fix every draw, and the blocks the samples are summed in
 depend only on r, so identical (samples, seed) always reproduce the same
 estimate bit for bit.
@@ -450,6 +457,12 @@ def _cauchy_bound(poly: Poly, r: int, v: int, radius: int) -> Fraction:
     return math.factorial(v) * bound**r / delta**v
 
 
+@functools.cache
+def _bernoulli(n: int) -> tuple[int, int]:
+    """The Bernoulli number B_n as (numerator, denominator > 0), computed once per process."""
+    return mpmath.bernfrac(n)
+
+
 def _euler_maclaurin_sum(poly: Poly, r: int, v: int, tau: Fraction) -> tuple[Fraction, Fraction, int]:
     """(S, bound, K) with |sum_{k>=0} G(k) - S| <= bound <= tau / 2.
 
@@ -473,9 +486,14 @@ def _euler_maclaurin_sum(poly: Poly, r: int, v: int, tau: Fraction) -> tuple[Fra
     L is the least order that brings this under tau/4.  K starts at 8 rho
     and doubles until some p brings the remainder under tau/4 before the
     remainder bounds start to grow again.  The Euler-Maclaurin sums run on
-    the integers U_i = E_i K**(L-i), e_i K**-i = U_i / (A**r K**L); only the
-    per-order remainders and corrections are rationals.  Everything is exact,
-    so the bound covers all error.
+    the integers U_i = E_i K**(L-i), e_i K**-i = U_i / (A**r K**L), and so
+    does the loop over p: the corrections are kept as one integer numerator
+    over a denominator built from running powers and products, the
+    remainder bound as a numerator and a denominator, and the tests against
+    tau/4 and against the previous remainder are cross-multiplied.  A
+    Fraction is built only for S and the bound, and each B_2j comes from
+    _bernoulli, once per process.  Everything is exact, so the bound covers
+    all error.
     """
     d = r + v
     radius = 2 * len(poly.coeffs)
@@ -496,37 +514,48 @@ def _euler_maclaurin_sum(poly: Poly, r: int, v: int, tau: Fraction) -> tuple[Fra
             L += 1
             rho_pow *= radius
             k_pow *= K
-        truncation = Fraction(upper * rho_pow * (L + K), lower * k_pow * L)
+        trunc_num, trunc_den = upper * rho_pow * (L + K), lower * k_pow * L
         if len(e) <= L:
             e, den = _moment_expansion(poly, r, v, L)
         scale = den * K**L  # e_i K**-i = U_i / scale
         u = [c * K ** (L - i) for i, c in enumerate(e[d : L + 1], d)]
         magnitudes = [abs(c) for c in u]
         rising = list(range(d, L + 1))  # (i)_2j-1 at j = 1
-        corrections = Fraction(0)
-        factorial = 1
+        # at order j: corrections = c_num / (scale k_odd factorial b_prod),
+        # with k_odd = K**(2j-1), factorial = (2j)! and b_prod the product of
+        # the denominators of B_2 .. B_2j; the remainder bound is
+        # absolute * pi_den / (scale k_odd pi_num), pi_den / pi_num >= 4 / (2 pi)**2j
+        k_odd, factorial, b_prod = K, 2, 1
+        pi_num, pi_den = _TWO_PI_NUM**2, 4 * _TWO_PI_DEN**2
+        c_num = 0
         previous = None
         j = 1
         while True:
-            factorial *= (2 * j - 1) * (2 * j)
-            k_scale = scale * K ** (2 * j - 1)
-            b_num, b_den = mpmath.bernfrac(2 * j)
+            b_num, b_den = _bernoulli(2 * j)
             signed = sum(map(operator.mul, u, rising))
-            corrections += Fraction(b_num * signed, b_den * factorial * k_scale)
-            absolute = sum(map(operator.mul, magnitudes, rising))
-            remainder = Fraction(
-                4 * absolute * _TWO_PI_DEN ** (2 * j), k_scale * _TWO_PI_NUM ** (2 * j)
-            )
-            if remainder <= budget:
+            c_num = c_num * (K * K * (2 * j - 1) * (2 * j) * b_den) + b_num * signed * b_prod
+            b_prod *= b_den
+            rem_num = sum(map(operator.mul, magnitudes, rising)) * pi_den
+            rem_den = scale * k_odd * pi_num
+            if rem_num * budget.denominator <= rem_den * budget.numerator:
                 lam = lcm_upto(L - 1)
                 integral = sum(c * _exact_quotient(lam, i - 1) for i, c in enumerate(u, d))
-                tail = Fraction(2 * K * integral + lam * sum(u), 2 * lam * scale) + corrections
-                return _head_sum(poly, r, v, K) + tail, truncation + remainder, K
-            if previous is not None and remainder >= previous:
+                spread = k_odd * factorial * b_prod
+                tail = Fraction(
+                    (2 * K * integral + lam * sum(u)) * spread + 2 * lam * c_num,
+                    2 * lam * scale * spread,
+                )
+                bound = Fraction(trunc_num * rem_den + rem_num * trunc_den, trunc_den * rem_den)
+                return _head_sum(poly, r, v, K) + tail, bound, K
+            if previous is not None and rem_num * previous[1] >= previous[0] * rem_den:
                 break
-            previous = remainder
+            previous = rem_num, rem_den
             rising = [c * (i + 2 * j - 1) * (i + 2 * j) for i, c in enumerate(rising, d)]
             j += 1
+            k_odd *= K * K
+            factorial *= (2 * j - 1) * (2 * j)
+            pi_num *= _TWO_PI_NUM**2
+            pi_den *= _TWO_PI_DEN**2
         K *= 2
 
 
@@ -591,6 +620,17 @@ class MCEstimate:
 
 
 _SM64_GAMMA = 0x9E3779B97F4A7C15
+_ONE_BITS = 0x3FF0000000000000  # the bit pattern of 1.0
+
+
+@functools.cache
+def _block_counters() -> np.ndarray:
+    """k * _SM64_GAMMA mod 2**64 for k < _MC_BLOCK, read-only: every block's
+    counters before its offset, built once per process."""
+    counters = np.arange(_MC_BLOCK, dtype=np.uint64)
+    counters *= _SM64_GAMMA
+    counters.flags.writeable = False
+    return counters
 
 
 def _draws(x0: int, first: int, shape) -> np.ndarray:
@@ -599,20 +639,34 @@ def _draws(x0: int, first: int, shape) -> np.ndarray:
     Output k >= 1 is mix(x0 + k * _SM64_GAMMA mod 2**64) (Steele, Lea &
     Flood, OOPSLA 2014), filled into `shape` in row-major order.  Its double
     is ((output >> 11) | 1) * 2**-53, the midpoint of one of 2**52 equal
-    cells of [0, 1): never 0 or 1, and its mean is exactly 1/2.  uint64
-    arrays wrap modulo 2**64 without a warning (numpy scalars warn).
+    cells of [0, 1): never 0 or 1, and its mean is exactly 1/2.  It is made
+    from the bit pattern, with no integer-to-float conversion: the top 52
+    bits of the output under the exponent of 1.0 give 1 + (output >> 12) *
+    2**-52, and subtracting 1 - 2**-53 leaves (2 (output >> 12) + 1) *
+    2**-53, which is that midpoint; the difference is a multiple of 2**-53
+    below 1, so the subtraction is exact.  Up to _MC_BLOCK draws start from
+    the cached counters (_block_counters), more from fresh ones; either way
+    the result is a new array that the caller may overwrite.  uint64 arrays
+    wrap modulo 2**64 without a warning (numpy scalars warn).
     """
-    z = np.arange(math.prod(shape), dtype=np.uint64)
-    z *= _SM64_GAMMA
-    z += (x0 + first * _SM64_GAMMA) % 2**64
+    size = math.prod(shape)
+    offset = np.uint64((x0 + first * _SM64_GAMMA) % 2**64)
+    if size <= _MC_BLOCK:
+        z = _block_counters()[:size] + offset
+    else:
+        z = np.arange(size, dtype=np.uint64)
+        z *= _SM64_GAMMA
+        z += offset
     z ^= z >> 30
     z *= 0xBF58476D1CE4E5B9
     z ^= z >> 27
     z *= 0x94D049BB133111EB
     z ^= z >> 31
-    z >>= 11
-    z |= 1
-    return (z * 2.0**-53).reshape(shape)
+    z >>= 12
+    z |= _ONE_BITS
+    u = z.view(np.float64)
+    u -= 1.0 - 2.0**-53
+    return u.reshape(shape)
 
 
 def _shifted_chebyshev(poly: Poly) -> np.ndarray:
@@ -642,24 +696,28 @@ def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     x is overwritten with the values and returned.  Each step is
     b1, b2 = 2y b1 + c_k - b2, b1, done in place in one new array, with 2y
     formed once if a step runs.  The first step from b1 = b2 = 0 gives c_n
-    exactly, so b1 = c_n, b2 = 0 start as scalars (both 0 when n = 0);
-    x - 0.0 is x and a + b is b + a, so every value is bit for bit that of
-    zero-filled arrays.  The rounding error is about eps * sum |c_k|, O(1)
-    even for P_n, whose monomial coefficients are huge and cancel.
+    exactly, so b1 = c_n starts as a scalar (0 when n = 0) and b2 = None
+    stands for 0 until a step sets it: x - 0.0 is x, so b2 is subtracted
+    only once it is set, and a + b is b + a, so every value is bit for bit
+    that of zero-filled arrays.  The rounding error is about
+    eps * sum |c_k|, O(1) even for P_n, whose monomial coefficients are
+    huge and cancel.
     """
     x *= 2.0
     x -= 1.0  # y = 2x - 1
-    b1, b2 = (c[-1], 0.0) if len(c) > 1 else (0.0, 0.0)
+    b1, b2 = (c[-1] if len(c) > 1 else 0.0), None
     if len(c) > 2:
         y2 = 2.0 * x
         for ck in c[-2:0:-1]:
             t = y2 * b1
             t += ck
-            t -= b2
+            if b2 is not None:
+                t -= b2
             b1, b2 = t, b1
     x *= b1
     x += c[0]
-    x -= b2
+    if b2 is not None:
+        x -= b2
     return x
 
 

@@ -21,8 +21,19 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import mpmath
+
 from zetalab import Poly, ZetaCombination, moment_from_coeffs
+from zetalab.decomp import lcm_upto
 from zetalab.moments import check_series_args
+from zetalab.verify import (
+    _TWO_PI_DEN,
+    _TWO_PI_NUM,
+    _cauchy_bound,
+    _exact_quotient,
+    _head_sum,
+    _moment_expansion,
+)
 
 
 def chebyshev_weights(n: int) -> list[int]:
@@ -248,3 +259,60 @@ def expansion_at_infinity(g: tuple[Poly, Poly], order: int) -> list[Fraction]:
             c -= drev[j] * q[k - j]
         q.append(c)
     return [Fraction(0)] * d + q
+
+
+def euler_maclaurin_sum(poly: Poly, r: int, v: int, tau: Fraction) -> tuple[Fraction, Fraction, int]:
+    """verify._euler_maclaurin_sum's (S, bound, K), with Fraction loop state.
+
+    The same choice of K, L and order p, from the same kernels; every
+    correction and remainder is a Fraction, built, reduced and compared at
+    each order, and each Bernoulli number comes fresh from mpmath.
+    """
+    d = r + v
+    radius = 2 * len(poly.coeffs)
+    g_max = _cauchy_bound(poly, r, v, radius)
+    budget = tau / 4
+    K = 8 * radius
+    e: list[int] = []
+    while True:
+        rho_pow, k_pow = radius ** (d + 1), K ** (d + 1)
+        upper = g_max.numerator * K
+        lower = g_max.denominator * (K - radius)
+        L = d
+        while upper * budget.denominator * rho_pow * (L + K) > (
+            lower * budget.numerator * k_pow * L
+        ):
+            L += 1
+            rho_pow *= radius
+            k_pow *= K
+        truncation = Fraction(upper * rho_pow * (L + K), lower * k_pow * L)
+        if len(e) <= L:
+            e, den = _moment_expansion(poly, r, v, L)
+        scale = den * K**L
+        u = [c * K ** (L - i) for i, c in enumerate(e[d : L + 1], d)]
+        rising = list(range(d, L + 1))
+        corrections = Fraction(0)
+        factorial = 1
+        previous = None
+        j = 1
+        while True:
+            factorial *= (2 * j - 1) * (2 * j)
+            k_scale = scale * K ** (2 * j - 1)
+            b_num, b_den = mpmath.bernfrac(2 * j)
+            signed = sum(c * q for c, q in zip(u, rising))
+            corrections += Fraction(b_num * signed, b_den * factorial * k_scale)
+            absolute = sum(abs(c) * q for c, q in zip(u, rising))
+            remainder = Fraction(
+                4 * absolute * _TWO_PI_DEN ** (2 * j), k_scale * _TWO_PI_NUM ** (2 * j)
+            )
+            if remainder <= budget:
+                lam = lcm_upto(L - 1)
+                integral = sum(c * _exact_quotient(lam, i - 1) for i, c in enumerate(u, d))
+                tail = Fraction(2 * K * integral + lam * sum(u), 2 * lam * scale) + corrections
+                return _head_sum(poly, r, v, K) + tail, truncation + remainder, K
+            if previous is not None and remainder >= previous:
+                break
+            previous = remainder
+            rising = [c * (i + 2 * j - 1) * (i + 2 * j) for i, c in enumerate(rising, d)]
+            j += 1
+        K *= 2

@@ -9,6 +9,7 @@ import itertools
 import math
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 
 import mpmath
@@ -33,6 +34,7 @@ from zetalab.decomp import _principal_parts
 from zetalab.verify import (
     _cauchy_bound,
     _chebyshev_increments,
+    _euler_maclaurin_sum,
     _head_sum,
     _moment_expansion,
     _zeta_rational,
@@ -235,6 +237,34 @@ def test_direct_sum_kernels_match_reference_on_random_polys(coeffs, r, v):
     _assert_direct_kernels_match(ref.build_summand(Poly(coeffs), r, v))
 
 
+# (n, r, v, digits): the benchmark's three crosschecks at precision 30 and at
+# the --tiny precision 10, its float-tier direct sum, P_20 and P_60 at 30 and
+# 163 digits, and P_2 at 163 digits, where the remainders start to grow before
+# the first K meets the target, so K doubles
+@pytest.mark.parametrize(
+    "n, r, v, digits",
+    [
+        (2, 2, 0, 30), (1, 2, 1, 30), (2, 3, 2, 30), (2, 3, 2, 10), (0, 2, 0, 7),
+        (20, 3, 2, 30), (20, 3, 2, 163), (60, 3, 2, 30), (60, 3, 2, 163), (2, 3, 2, 163),
+    ],
+)
+def test_euler_maclaurin_sum_matches_the_fraction_loop(n, r, v, digits):
+    args = (legendre_coeffs(n), r, v, Fraction(1, 10**digits))
+    assert _euler_maclaurin_sum(*args) == ref.euler_maclaurin_sum(*args)
+
+
+@settings(max_examples=40)
+@given(
+    coeffs=st.one_of(_dense, _sparse).filter(any),
+    r=st.integers(2, 4),
+    v=st.integers(0, 3),
+    digits=st.integers(1, 40),
+)
+def test_euler_maclaurin_sum_matches_the_fraction_loop_on_random_integer_polys(coeffs, r, v, digits):
+    args = (Poly(coeffs), r, v, Fraction(1, 10**digits))
+    assert _euler_maclaurin_sum(*args) == ref.euler_maclaurin_sum(*args)
+
+
 def test_direct_sum_encloses_the_exact_value_at_n_60():
     poly = legendre_coeffs(60)
     d = direct_sum_value(poly, 3, 2, Fraction(1, 10**30))
@@ -281,13 +311,64 @@ def test_chunk_draws_are_the_integer_splitmix64_stream(seed, chunk):
 
 
 @pytest.mark.parametrize(
-    "shape", [(1,), (verify._MC_BLOCK - 1, 1), (verify._MC_BLOCK + 1, 1), (1 << 16, 3)]
+    "shape",
+    [
+        (1,),
+        (verify._MC_BLOCK - 1, 1),
+        (verify._MC_BLOCK + 1, 1),
+        (1 << 16, 3),
+        (verify._MC_BLOCK, 1),
+        (10**5, 2),
+    ],
 )
 def test_chunk_draws_match_the_reference_across_stretches(shape):
-    # one call draws one stretch of counters, of any length, in row-major order
+    # one call draws one stretch of counters, of any length, in row-major
+    # order: up to a block from the cached counters, past it from fresh ones
     u = verify._draws(77, 2 * 2**40 + 1, shape)
     assert u.shape == shape and u.flags.writeable
     assert u.ravel().tolist() == mc_reference.stream_draws(77, 2 * 2**40 + 1, u.size)
+
+
+def test_block_counters_are_cached_and_read_only():
+    counters = verify._block_counters()
+    assert counters is verify._block_counters()
+    assert counters.shape == (verify._MC_BLOCK,) and not counters.flags.writeable
+    with pytest.raises(ValueError):
+        counters[0] = 1
+
+
+def test_writing_into_draws_does_not_change_later_draws():
+    # the draws are a new array: mc_integral's Clenshaw pass overwrites them,
+    # and a caller may too, without touching the cached counters
+    for shape in ((verify._MC_BLOCK,), (100, 3)):
+        verify._draws(5, 1, shape).fill(0.25)
+        verify.mc_integral(legendre_coeffs(3), 2, 1, 0.0, 10**4, 5)
+        u = verify._draws(5, 1, shape)
+        assert u.ravel().tolist() == mc_reference.stream_draws(5, 1, u.size)
+
+
+def test_mc_integral_in_four_threads_matches_one_thread():
+    cases = [(legendre_coeffs(n), r, v, 0.0, 30001, 11 * n + r) for n, r, v in ((2, 2, 0), (5, 3, 2))]
+    expected = [verify.mc_integral(*args) for args in cases]
+    # the threads also race to build the cached counters
+    verify._block_counters.cache_clear()
+    results: dict[int, list] = {}
+
+    def run(i):
+        results[i] = [verify.mc_integral(*args) for args in cases]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {i: expected for i in range(4)}
 
 
 def _unxorshift(y: int, shift: int) -> int:
