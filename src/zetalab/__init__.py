@@ -9,7 +9,6 @@ Carlo integrator provide two independent checks on every number produced.
 """
 
 from .polys import Poly, integrate_poly_01, legendre_coeffs
-from .moments import moment_closed_form, moment_from_coeffs
 from .decomp import (
     DecompositionReport,
     ZetaCombination,
@@ -17,6 +16,8 @@ from .decomp import (
     decompose,
     decomposition_report,
     lcm_upto,
+    moment_closed_form,
+    moment_from_coeffs,
 )
 from .verify import (
     CriterionRecord,

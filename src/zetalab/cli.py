@@ -24,9 +24,8 @@ import sys
 import mpmath
 
 from .cache import DecompositionCache
-from .decomp import decompose, decomposition_report
+from .decomp import decompose, decomposition_report, moment_from_coeffs
 from .polys import Poly, legendre_coeffs
-from .moments import moment_from_coeffs
 from .verify import _check_precision, crosscheck, eval_combination, rationality_criterion
 
 __all__ = ["main"]

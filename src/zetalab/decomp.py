@@ -1,8 +1,14 @@
-"""Collapse the summed series into exact zeta-value combinations.
+"""The moment M(s) = integral_0^1 x**s R(x) dx, and the collapse of the summed
+series into exact zeta-value combinations.
 
-The top of the exact layer (``polys`` -> ``moments`` -> ``decomp``): every
-number here is an int or a Fraction, and nothing here imports the numeric
-layer (``verify``, mpmath, numpy).  Rationals serialize as str(Fraction).
+The top of the exact layer (``polys`` -> ``decomp``): every number here is
+an int or a Fraction, and nothing here imports the numeric layer
+(``verify``, mpmath, numpy).  Rationals serialize as str(Fraction).
+
+The moment is a plain ``(num, den)`` pair of Poly (``moment_from_coeffs``),
+canonical: den monic, num and den coprime, so equal functions give equal
+pairs.  Its denominator is known before any arithmetic, Q = prod (s+l+1)
+over the support a_l != 0, so no polynomial gcd is ever needed.
 
 ``decompose`` turns sum_{k>=0} G(k), G = d^v/ds^v [M(s)**r], into
 sum_j q_j * zeta(j) + q_0  with exact rational q's, via the partial
@@ -52,10 +58,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .moments import check_series_args
 from .polys import Poly, legendre_coeffs
 
 __all__ = [
+    "moment_from_coeffs",
+    "moment_closed_form",
     "lcm_upto",
     "ZetaCombination",
     "decompose",
@@ -63,6 +70,63 @@ __all__ = [
     "decomposition_report",
     "apery_report",
 ]
+
+
+def _nonzero_poly(poly) -> Poly:
+    if not isinstance(poly, Poly):
+        poly = Poly(poly)
+    if poly.is_zero:
+        raise ValueError("zero polynomial has no moment")
+    return poly
+
+
+def check_series_args(poly, r: int, v: int) -> Poly:
+    """Reject (poly, r, v) whose series sum_k G(k) is undefined; return poly as a Poly."""
+    if r < 2:
+        raise ValueError("series diverges: need r >= 2 (terms decay like 1/k at r = 1)")
+    if v < 0:
+        raise ValueError("v must be >= 0")
+    return _nonzero_poly(poly)
+
+
+def _times_linear(p: list[int], c: int) -> list[int]:
+    """Coefficients of p(s) * (s + c), lowest degree first."""
+    return [c * x + y for x, y in zip(p + [0], [0] + p)]
+
+
+def _over_linear(p: list[int], c: int) -> list[int]:
+    """Coefficients of p(s) / (s + c), which divides p by construction.
+
+    Synthetic division; a non-zero remainder breaks the construction and raises.
+    """
+    acc, out = 0, []
+    for x in reversed(p):
+        acc = x - c * acc
+        out.append(acc)
+    if out.pop():
+        raise RuntimeError(f"internal invariant violation: s + {c} does not divide the denominator")
+    return out[::-1]
+
+
+def moment_from_coeffs(poly: Poly) -> tuple[Poly, Poly]:
+    """Moment of x**s against poly on [0, 1], as the canonical pair (num, den).
+
+    den = Q = prod_{a_l != 0} (s + l + 1) and num = sum_l a_l Q/(s + l + 1),
+    each quotient taken by exact division by one linear factor.  The pair is
+    canonical by construction: Q is monic, and at each root s = -(l+1) of Q
+    every quotient but the l-th vanishes, so
+    num(-(l+1)) = a_l prod_{l' != l} (l' - l) != 0 and num shares no root
+    with Q.
+    """
+    alpha, A = _nonzero_poly(poly).clear_denominators()
+    roots = [l + 1 for l, a in enumerate(alpha) if a]
+    den = [1]
+    for c in roots:
+        den = _times_linear(den, c)
+    num = [0] * (len(den) - 1)
+    for c in roots:
+        num = [x + alpha[c - 1] * y for x, y in zip(num, _over_linear(den, c))]
+    return Poly(Fraction(x, A) for x in num), Poly(den)
 
 
 def lcm_upto(n: int) -> int:
@@ -159,6 +223,27 @@ def _is_shifted_legendre(a: list[int]) -> bool:
         b * (l + 1) ** 2 == -c * (n - l) * (n + l + 1)
         for l, (c, b) in enumerate(itertools.pairwise(a))
     )
+
+
+def moment_closed_form(n: int) -> tuple[Poly, Poly]:
+    """Moment of the degree-n shifted Legendre polynomial, product form:
+
+        M_n(s) = (-1)**n * s(s-1)...(s-n+1) / ((s+1)(s+2)...(s+n+1))
+
+    The numerator's roots 0..n-1 are not poles and the denominator is monic,
+    so the pair is canonical and equals moment_from_coeffs(legendre_coeffs(n)).
+    No runtime path calls it: it is the identity _legendre_laurent rests on,
+    kept checked against the coefficient sum, since naive transcriptions of
+    the product form are easy to get wrong off by one.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    num, den = [(-1) ** n], [1]
+    for j in range(n):
+        num = _times_linear(num, -j)
+    for j in range(1, n + 2):
+        den = _times_linear(den, j)
+    return Poly(num), Poly(den)
 
 
 def _legendre_laurent(a: list[int], r: int) -> tuple[list[tuple[int, list[int]]], int]:

@@ -4,6 +4,9 @@ Coefficients are stored lowest degree first, as ``fractions.Fraction``; the
 zero polynomial is the empty tuple (degree -1).  Construction strips trailing
 zeros, so equal polynomials compare equal structurally.  Instances are
 immutable and safe to share between tasks.
+
+The bottom of the exact layer (``polys`` -> ``decomp``): it imports no
+other zetalab module.
 """
 
 from __future__ import annotations

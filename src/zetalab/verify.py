@@ -2,8 +2,7 @@
 and a reproducible Monte Carlo oracle for the r-fold integrals, plus the
 criterion scan (``rationality_criterion``), which evaluates the exact
 decompositions of the Legendre family at certified precision.  This layer
-builds on the exact one (``polys``, ``moments``, ``decomp``), which never
-imports it.
+builds on the exact one (``polys``, ``decomp``), which never imports it.
 
 Three independent evaluation paths cross-check each other:
 
@@ -91,8 +90,7 @@ from mpmath.libmp import (
     to_rational,
 )
 
-from .decomp import ZetaCombination, decompose, lcm_upto
-from .moments import check_series_args
+from .decomp import ZetaCombination, check_series_args, decompose, lcm_upto
 from .polys import Poly, legendre_coeffs
 
 __all__ = [
@@ -578,11 +576,15 @@ def direct_sum_value(poly: Poly, r: int, v: int, target_error) -> HighPrecisionV
     the remainder (see _euler_maclaurin_sum).  Every positive target is
     reachable.  poly is a Poly or a coefficient list, lowest degree first.
     target_error is anything Fraction() reads: an int, a str such as
-    "1e-6", a float or a Fraction.  Fully independent of partial fractions
-    and of zeta_value.
+    "1e-6", a float or a Fraction; a non-finite or non-positive one raises
+    ValueError.  Fully independent of partial fractions and of zeta_value.
     """
     poly = check_series_args(poly, r, v)
-    return _direct_sum(poly, r, v, Fraction(target_error))[0]
+    try:
+        tau = Fraction(target_error)
+    except OverflowError:  # Fraction(inf); Fraction(nan) raises ValueError itself
+        raise ValueError("target_error must be finite") from None
+    return _direct_sum(poly, r, v, tau)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -674,6 +676,8 @@ def _shifted_chebyshev(poly: Poly) -> np.ndarray:
 
     Horner's rule in the shifted basis: multiplying by x = (1 + T_1(2x-1))/2
     maps T_0 to (T_0 + T_1)/2 and T_k to T_k/2 + (T_{k-1} + T_{k+1})/4.
+    A c_k past the float64 range rounds to +-inf, as IEEE rounding would, so
+    the estimate comes out non-finite instead of raising.
     """
     c: list[Fraction] = []
     for a in reversed(poly.coeffs):
@@ -687,7 +691,15 @@ def _shifted_chebyshev(poly: Poly) -> np.ndarray:
                 shifted[1] += ck / 2
         shifted[0] += a
         c = shifted
-    return np.array([float(ck) for ck in c], dtype=np.float64)
+    return np.array([_round_to_float(ck) for ck in c], dtype=np.float64)
+
+
+def _round_to_float(x: Fraction) -> float:
+    """float(x), or +-inf where x rounds past the largest finite float64."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:

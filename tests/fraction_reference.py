@@ -24,8 +24,7 @@ from fractions import Fraction
 import mpmath
 
 from zetalab import Poly, ZetaCombination, moment_from_coeffs
-from zetalab.decomp import lcm_upto
-from zetalab.moments import check_series_args
+from zetalab.decomp import check_series_args, lcm_upto
 from zetalab.verify import (
     _TWO_PI_DEN,
     _TWO_PI_NUM,

@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from zetalab import verify
-from zetalab.moments import check_series_args
+from zetalab.decomp import check_series_args
 
 
 def splitmix64(x0: int, k: int) -> int:

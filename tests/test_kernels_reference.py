@@ -191,11 +191,11 @@ def test_moment_division_remainder_raises_under_python_O():
     # remainder must raise RuntimeError, not pass an assert that -O strips.
     # Building Q on shifted roots leaves one.
     code = (
-        "from zetalab import legendre_coeffs, moments\n"
-        "times_linear = moments._times_linear\n"
-        "moments._times_linear = lambda p, c: times_linear(p, c + 1)\n"
+        "from zetalab import decomp, legendre_coeffs\n"
+        "times_linear = decomp._times_linear\n"
+        "decomp._times_linear = lambda p, c: times_linear(p, c + 1)\n"
         "try:\n"
-        "    moments.moment_from_coeffs(legendre_coeffs(3))\n"
+        "    decomp.moment_from_coeffs(legendre_coeffs(3))\n"
         "except RuntimeError as exc:\n"
         "    print(exc)\n"
     )

@@ -286,8 +286,9 @@ def test_direct_sum_target_types():
         with mpmath.workdps(40):
             assert d.error_bound <= mpmath.mpf(t.numerator) / t.denominator
             assert abs(d.value - e.value) <= d.error_bound + e.error_bound
-    with pytest.raises(ValueError):
-        direct_sum_value(legendre_coeffs(1), 2, 1, 0)
+    for bad in (0, float("inf"), float("nan")):
+        with pytest.raises(ValueError):
+            direct_sum_value(legendre_coeffs(1), 2, 1, bad)
 
 
 @settings(max_examples=40)
@@ -389,12 +390,16 @@ def test_mc_stderr_definition():
 def test_mc_overflowed_estimate_reports_a_non_finite_stderr():
     # R = 1 + 1e200 x overflows float64: the mean is inf and the variance
     # NaN, which must not read as a zero stderr; the report says so, so
-    # numpy prints no overflow warning on the way
+    # numpy prints no overflow warning on the way.  At 1e400 the Chebyshev
+    # coefficients themselves round to inf, and the estimate turns NaN
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = mc_integral(Poly([1, 10**200]), 2, 0, samples=10**4)
+        huge = mc_integral(Poly([1, 10**400]), 2, 0, samples=10**4)
     assert math.isinf(est.mean)
     assert not math.isfinite(est.stderr)
+    assert not math.isfinite(huge.mean)
+    assert not math.isfinite(huge.stderr)
 
 
 def test_mc_z_shift():
