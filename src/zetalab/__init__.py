@@ -8,54 +8,11 @@ partial fractions.  A certified direct-summation path and a seeded Monte
 Carlo integrator provide two independent checks on every number produced.
 """
 
-from .polys import Poly, integrate_poly_01, legendre_coeffs
-from .decomp import (
-    DecompositionReport,
-    ZetaCombination,
-    apery_report,
-    decompose,
-    decomposition_report,
-    lcm_upto,
-    moment_closed_form,
-    moment_from_coeffs,
-)
-from .verify import (
-    CriterionRecord,
-    CrosscheckReport,
-    HighPrecisionValue,
-    MCEstimate,
-    crosscheck,
-    direct_sum_value,
-    eval_combination,
-    mc_integral,
-    rationality_criterion,
-    shifted_series_value,
-    zeta_value,
-)
+from . import decomp, polys, verify
+from .polys import *
+from .decomp import *
+from .verify import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Poly",
-    "integrate_poly_01",
-    "legendre_coeffs",
-    "moment_closed_form",
-    "moment_from_coeffs",
-    "ZetaCombination",
-    "decompose",
-    "DecompositionReport",
-    "decomposition_report",
-    "apery_report",
-    "lcm_upto",
-    "HighPrecisionValue",
-    "zeta_value",
-    "eval_combination",
-    "CriterionRecord",
-    "rationality_criterion",
-    "direct_sum_value",
-    "MCEstimate",
-    "mc_integral",
-    "CrosscheckReport",
-    "crosscheck",
-    "shifted_series_value",
-]
+__all__ = [*polys.__all__, *decomp.__all__, *verify.__all__]

@@ -111,9 +111,9 @@ def _cmd_moment(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    poly, n = _pick_poly(args)
+    poly = _pick_poly(args)[0]
     combo = _decomposer(args)(poly, args.r, args.v)
-    report = decomposition_report(poly, args.r, args.v, n=n, combo=combo)
+    report = decomposition_report(poly, args.r, args.v, combo=combo)
     obj = report.to_json_dict()
     if args.format == "csv":
         _emit_csv([obj])

@@ -430,18 +430,16 @@ def decomposition_report(
     poly: Poly,
     r: int,
     v: int,
-    n: int | None = None,
     combo: ZetaCombination | None = None,
 ) -> DecompositionReport:
-    """Report for an arbitrary polynomial; n defaults to its degree.
+    """Report for an arbitrary polynomial; its n is the degree (0 for a constant).
 
     Pass a precomputed (e.g. cached) combination via `combo` to skip the
     decomposition.
     """
     if not isinstance(poly, Poly):
         poly = Poly(poly)
-    if n is None:
-        n = max(poly.degree, 0)
+    n = max(poly.degree, 0)
     if combo is None:
         combo = decompose(poly, r, v)
     d = combo.common_denominator()
@@ -485,4 +483,4 @@ def decomposition_report(
 
 def apery_report(n: int, r: int, v: int) -> DecompositionReport:
     """Report for the shifted-Legendre family member of degree n."""
-    return decomposition_report(legendre_coeffs(n), r, v, n=n)
+    return decomposition_report(legendre_coeffs(n), r, v)

@@ -23,10 +23,11 @@ Three independent evaluation paths cross-check each other:
    integrable singularities (log powers at the faces, the simple pole at
    the corner of the cube) keep the variance finite at desk scale, at the
    cost of the usual 1/sqrt(N) convergence.  No importance sampling: the
-   oracle stays simple enough to trust.  R is evaluated in float64 from
-   its coefficients in the Chebyshev basis shifted to [0, 1], converted
-   exactly once, by Clenshaw's recurrence: the monomial coefficients of
-   P_n grow like C(n,k) C(n+k,k) and cancel catastrophically.
+   oracle stays simple enough to trust.  R is evaluated in float64 by
+   Clenshaw's recurrence, from its coefficients in the Chebyshev basis
+   shifted to [0, 1], each converted exactly (a closed binomial sum in
+   integers), then rounded once: the monomial coefficients of P_n grow
+   like C(n,k) C(n+k,k) and cancel catastrophically.
 
 Zeta values use the alternating-series acceleration with Chebyshev-derived
 integer weights d_k (Borwein's method), built by an exact integer
@@ -674,32 +675,32 @@ def _draws(x0: int, first: int, shape) -> np.ndarray:
 def _shifted_chebyshev(poly: Poly) -> np.ndarray:
     """c_0..c_n with poly(x) = sum_k c_k T_k(2x - 1), converted exactly, then rounded.
 
-    Horner's rule in the shifted basis: multiplying by x = (1 + T_1(2x-1))/2
-    maps T_0 to (T_0 + T_1)/2 and T_k to T_k/2 + (T_{k-1} + T_{k+1})/4.
-    A c_k past the float64 range rounds to +-inf, as IEEE rounding would, so
-    the estimate comes out non-finite instead of raising.
+    With t = 2x - 1 = cos(theta), x = cos(theta/2)**2, so
+    x**l = 2**(1-2l) (C(2l, l)/2 + sum_{k=1..l} C(2l, l-k) T_k(2x - 1))
+    (Mason & Handscomb, Chebyshev Polynomials, 2003).  For poly =
+    sum_l alpha_l x**l / A with integers alpha_l, c_k is N_k / (A 4**n), with
+    N_k = sum_{l>=k} alpha_l 4**(n-l) C(2l, l-k), doubled for k >= 1: all in
+    integers, and each c_k is rounded once, correctly, by int / int.  A c_k
+    past the float64 range rounds to +-inf, as IEEE rounding would, so the
+    estimate comes out non-finite instead of raising.
     """
-    c: list[Fraction] = []
-    for a in reversed(poly.coeffs):
-        shifted = [Fraction(0)] * (len(c) + 1)
-        for k, ck in enumerate(c):
-            shifted[k] += ck / 2
-            if k:
-                shifted[k - 1] += ck / 4
-                shifted[k + 1] += ck / 4
-            else:
-                shifted[1] += ck / 2
-        shifted[0] += a
-        c = shifted
-    return np.array([_round_to_float(ck) for ck in c], dtype=np.float64)
+    alpha, den = poly.clear_denominators()
+    n = poly.degree
+    weights = [a << 2 * (n - l) for l, a in enumerate(alpha)]
+    nums = [
+        sum(weights[l] * math.comb(2 * l, l - k) for l in range(k, n + 1)) * (2 if k else 1)
+        for k in range(n + 1)
+    ]
+    den <<= 2 * n
+    return np.array([_round_to_float(num, den) for num in nums], dtype=np.float64)
 
 
-def _round_to_float(x: Fraction) -> float:
-    """float(x), or +-inf where x rounds past the largest finite float64."""
+def _round_to_float(num: int, den: int) -> float:
+    """num / den correctly rounded, or +-inf where it rounds past the largest finite float64."""
     try:
-        return float(x)
+        return num / den
     except OverflowError:
-        return math.inf if x > 0 else -math.inf
+        return math.inf if num > 0 else -math.inf
 
 
 def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:

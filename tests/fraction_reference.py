@@ -12,6 +12,11 @@ quotient rule N_{k+1} = N_k' Q - (r+k) N_k Q', which is the plain rule with
 the common factor Q**(r+k-1) cancelled.  The pair stays canonical: Q**(r+v)
 is monic, and at each (simple) root of Q, N_{k+1} = -(r+k) N_k Q' != 0, so
 by induction N_v shares no root with Q.
+
+``shifted_chebyshev`` is the Monte Carlo oracle's conversion to the
+Chebyshev basis shifted to [0, 1] by Horner's rule, one ``Fraction`` step
+per coefficient and term; the library reads the same rationals off a
+closed binomial sum in integers.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 
 from zetalab import Poly, ZetaCombination, moment_from_coeffs
 from zetalab.decomp import check_series_args, lcm_upto
@@ -315,3 +321,32 @@ def euler_maclaurin_sum(poly: Poly, r: int, v: int, tau: Fraction) -> tuple[Frac
             rising = [c * (i + 2 * j - 1) * (i + 2 * j) for i, c in enumerate(rising, d)]
             j += 1
         K *= 2
+
+
+def shifted_chebyshev(poly: Poly) -> np.ndarray:
+    """c_0..c_n with poly(x) = sum_k c_k T_k(2x - 1), each Fraction rounded to float64.
+
+    Horner's rule in the shifted basis: multiplying by x = (1 + T_1(2x-1))/2
+    maps T_0 to (T_0 + T_1)/2 and T_k to T_k/2 + (T_{k-1} + T_{k+1})/4.
+    A c_k past the float64 range rounds to +-inf.
+    """
+    c: list[Fraction] = []
+    for a in reversed(poly.coeffs):
+        shifted = [Fraction(0)] * (len(c) + 1)
+        for k, ck in enumerate(c):
+            shifted[k] += ck / 2
+            if k:
+                shifted[k - 1] += ck / 4
+                shifted[k + 1] += ck / 4
+            else:
+                shifted[1] += ck / 2
+        shifted[0] += a
+        c = shifted
+    return np.array([_to_float(ck) for ck in c], dtype=np.float64)
+
+
+def _to_float(x: Fraction) -> float:
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf

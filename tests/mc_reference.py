@@ -6,7 +6,8 @@ every sample at once, every numpy operation runs over all of them, and R is
 evaluated one column of samples at a time.  Only the sums are taken over
 consecutive slices of the same rows as the blocks.  The draws and the order
 of every floating-point operation are the same, so the tests require ``==``
-estimates.
+estimates.  R's coefficients in the shifted Chebyshev basis come from the
+``Fraction`` Horner loop in ``fraction_reference``, not from the library.
 
 The draws come from ``verify._draws``, looked up on the module at each run.
 ``stream_draws`` spells out, in Python integers, the draws it must return:
@@ -20,6 +21,7 @@ import math
 
 import numpy as np
 
+from fraction_reference import shifted_chebyshev
 from zetalab import verify
 from zetalab.decomp import check_series_args
 
@@ -61,7 +63,7 @@ def mc_integral(poly, r: int, v: int, z: float = 0.0, samples: int = 100_000, se
         raise ValueError("z must be >= 0 (negative z moves poles into range)")
     if samples < 10**4:
         raise ValueError("samples must be >= 10**4")
-    cheb = verify._shifted_chebyshev(poly)
+    cheb = shifted_chebyshev(poly)
     u = verify._draws(seed % 2**64, 1, (samples, r))
     prod = u.prod(axis=1)
     weight = 1.0 / (1.0 - prod)

@@ -409,6 +409,28 @@ def test_mc_integral_with_underflowing_products_is_non_finite():
     assert not math.isfinite(est.mean)
 
 
+def _shifted_chebyshev_matches_reference(poly: Poly) -> None:
+    got = verify._shifted_chebyshev(poly)
+    assert got.tobytes() == ref.shifted_chebyshev(poly).tobytes(), poly.coeffs
+
+
+def test_shifted_chebyshev_matches_reference_on_legendre_and_edge_polys():
+    for n in range(121):
+        _shifted_chebyshev_matches_reference(legendre_coeffs(n))
+    _shifted_chebyshev_matches_reference(Poly([Fraction(-7, 3)]))
+    # c_0 and c_1 round past the float64 range, to +-inf
+    for poly in (Poly([1, 10**400]), Poly([-3, 10**309]), Poly([1, -(10**400)])):
+        _shifted_chebyshev_matches_reference(poly)
+    assert np.isposinf(verify._shifted_chebyshev(Poly([1, 10**400]))).all()
+    assert np.isneginf(verify._shifted_chebyshev(Poly([1, -(10**400)]))).all()
+
+
+@settings(max_examples=60)
+@given(coeffs=st.one_of(_dense, _sparse, _rational).filter(any))
+def test_shifted_chebyshev_matches_reference_on_random_polys(coeffs):
+    _shifted_chebyshev_matches_reference(Poly(coeffs))
+
+
 def _clenshaw_matches_reference(poly: Poly, seed: int) -> None:
     cheb = verify._shifted_chebyshev(poly)
     x = verify._draws(seed, 1, (4096,))

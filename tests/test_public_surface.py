@@ -19,6 +19,19 @@ def test_star_import_and_every_module_all_resolve():
         assert not missing, (info.name, missing)
 
 
+def test_package_exports_each_modules_public_names():
+    # the package re-exports the __all__ of polys, decomp and verify
+    assert set(zetalab.__all__) == {
+        "Poly", "integrate_poly_01", "legendre_coeffs",
+        "moment_closed_form", "moment_from_coeffs", "ZetaCombination", "decompose",
+        "DecompositionReport", "decomposition_report", "apery_report", "lcm_upto",
+        "HighPrecisionValue", "zeta_value", "eval_combination", "CriterionRecord",
+        "rationality_criterion", "direct_sum_value", "MCEstimate", "mc_integral",
+        "CrosscheckReport", "crosscheck", "shifted_series_value",
+    }
+    assert len(zetalab.__all__) == 22
+
+
 def test_no_function_rebinds_module_or_enclosing_state():
     # state that a global or nonlocal statement rebinds is shared by every
     # caller, threads included; memoize pure functions with functools instead
