@@ -2,8 +2,10 @@
 
 Subcommands: poly, moment, decompose, value, scan, verify.  The command
 table `_COMMANDS` is the one list of them; a run builds only the invoked
-command's parser.  stdout carries machine-parseable CSV or JSON only;
-diagnostics and progress go to stderr.
+command's parser.  stdout carries machine-parseable CSV or JSON only, and
+one emitter, `_emit`, writes it for every command: the payload as one JSON
+line, or under --format csv an RFC 4180 table of the command's rows.
+Diagnostics and progress go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
 
 Desk-scale defaults: 30 digits of precision, 10**5 Monte Carlo samples.
@@ -42,28 +44,20 @@ def _parse_coeffs(text: str) -> Poly:
     return p
 
 
-def _pick_poly(args) -> tuple[Poly, int | None]:
+def _pick_poly(args) -> Poly:
     if args.coeffs is not None and args.n is not None:
         raise ValueError("give either --n or --coeffs, not both")
     if args.coeffs is not None:
-        return _parse_coeffs(args.coeffs), None
+        return _parse_coeffs(args.coeffs)
     if args.n is None:
         raise ValueError("one of --n or --coeffs is required")
-    return legendre_coeffs(args.n), args.n
+    return legendre_coeffs(args.n)
 
 
 def _decomposer(args):
     """`decompose`, read through the cache at --cache or $ZETALAB_CACHE if one is named."""
     path = args.cache if args.cache is not None else os.environ.get("ZETALAB_CACHE")
     return DecompositionCache(path).decompose if path else decompose
-
-
-def _emit_json(obj) -> None:
-    sys.stdout.write(json.dumps(obj) + "\n")
-
-
-def _csv_writer():
-    return csv.writer(sys.stdout, lineterminator="\r\n")
 
 
 def _csv_cell(x):
@@ -74,15 +68,22 @@ def _csv_cell(x):
     return x
 
 
-def _emit_csv(rows: list[dict]) -> None:
-    """RFC 4180 table: a header of the first row's keys, then one line per row.
+def _emit(payload, fmt: str = "json", rows: list | None = None) -> None:
+    """Write `payload` as one JSON line, or under fmt "csv" an RFC 4180 table of `rows`.
 
+    The rows default to the payload itself, as the one row.  Dict rows get a
+    header of the first row's keys; a list row is written as it is, headerless.
     None becomes an empty cell; a dict or list cell becomes its JSON text.
     """
-    w = _csv_writer()
-    w.writerow(list(rows[0]))
-    for row in rows:
-        w.writerow([_csv_cell(x) for x in row.values()])
+    if fmt == "json":
+        sys.stdout.write(json.dumps(payload) + "\n")
+        return
+    rows = [payload] if rows is None else rows
+    w = csv.writer(sys.stdout, lineterminator="\r\n")
+    if isinstance(rows[0], dict):
+        w.writerow(list(rows[0]))
+        rows = [row.values() for row in rows]
+    w.writerows([_csv_cell(x) for x in row] for row in rows)
 
 
 # -- subcommand handlers -----------------------------------------------------
@@ -90,48 +91,35 @@ def _emit_csv(rows: list[dict]) -> None:
 
 def _cmd_poly(args) -> int:
     coeffs = [str(c) for c in legendre_coeffs(args.n).coeffs]
-    if args.format == "csv":
-        _csv_writer().writerow(coeffs)
-    else:
-        _emit_json(coeffs)
+    _emit(coeffs, args.format)
     return 0
 
 
 def _cmd_moment(args) -> int:
-    num, den = moment_from_coeffs(_pick_poly(args)[0])
+    num, den = moment_from_coeffs(_pick_poly(args))
     obj = {
         "numerator": [str(c) for c in num.coeffs],
         "denominator": [str(c) for c in den.coeffs],
     }
-    if args.format == "csv":
-        _emit_csv([{"part": part, "coefficients": c} for part, c in obj.items()])
-    else:
-        _emit_json(obj)
+    _emit(obj, args.format, [{"part": part, "coefficients": c} for part, c in obj.items()])
     return 0
 
 
 def _cmd_decompose(args) -> int:
-    poly = _pick_poly(args)[0]
+    poly = _pick_poly(args)
     combo = _decomposer(args)(poly, args.r, args.v)
     report = decomposition_report(poly, args.r, args.v, combo=combo)
-    obj = report.to_json_dict()
-    if args.format == "csv":
-        _emit_csv([obj])
-    else:
-        _emit_json(obj)
+    _emit(report.to_json_dict(), args.format)
     return 0
 
 
 def _cmd_value(args) -> int:
-    poly, n = _pick_poly(args)
+    poly = _pick_poly(args)
     _check_precision(args.prec)
     combo = _decomposer(args)(poly, args.r, args.v)
     hp = eval_combination(combo, args.prec)
-    obj = {"n": n, "r": args.r, "v": args.v, "precision": args.prec, **hp.to_json_dict()}
-    if args.format == "csv":
-        _emit_csv([obj])
-    else:
-        _emit_json(obj)
+    obj = {"n": args.n, "r": args.r, "v": args.v, "precision": args.prec, **hp.to_json_dict()}
+    _emit(obj, args.format)
     return 0
 
 
@@ -162,19 +150,16 @@ def _cmd_scan(args) -> int:
         }
         for rec in records
     ]
-    if args.format == "json":
-        _emit_json(rows)
-    else:
-        _emit_csv(rows)
+    _emit(rows, args.format, rows)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    poly, n = _pick_poly(args)
+    poly = _pick_poly(args)
     report = crosscheck(
         poly, args.r, args.v, precision=args.prec, samples=args.samples, seed=args.seed
     )
-    _emit_json({"n": n, **report.to_json_dict()})
+    _emit({"n": args.n, **report.to_json_dict()})
     return 0 if report.passed else 1
 
 

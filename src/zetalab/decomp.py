@@ -186,15 +186,16 @@ class ZetaCombination:
         }
 
 
-def _principal_numerators(poly: Poly, r: int, v: int) -> tuple[dict[tuple[int, int], int], int]:
-    """({(m, j): C}, D) with G = d^v/ds^v [M**r] = sum (C/D) / (s+m)**j.
+def _principal_numerators(poly: Poly, r: int, v: int) -> tuple[dict[int, list[int]], int]:
+    """({j: [C_1, ..., C_mu]}, D) with G = d^v/ds^v [M**r] = sum (C_m/D) / (s+m)**j.
 
     Near the pole s = -m, with t = s + m, the principal part of M**r is
     sum_{k<r} c_k t**(k-r); the v derivatives map c/t**j to
     c (-1)**v (j)_v / t**(j+v).  The c_k come from _legendre_laurent when
     the cleared coefficients are the shifted Legendre family's and from
     _correlation_laurent otherwise, each as integers over its own common
-    denominator D.  Only nonzero C are kept.
+    denominator D.  Each order v+1..r+v has one numerator per pole
+    m = 1..mu (mu = deg + 1), zero where the pole has no such term.
     """
     cleared, A = poly.clear_denominators()
     if A == 1 and _is_shifted_legendre(cleared):
@@ -204,11 +205,10 @@ def _principal_numerators(poly: Poly, r: int, v: int) -> tuple[dict[tuple[int, i
     sign = -1 if v % 2 else 1
     # ur[k] is the coefficient of t**-j, j = r - k: order j + v after v derivatives
     factors = [(j + v, sign * math.prod(range(j, j + v))) for j in range(r, 0, -1)]
-    numerators: dict[tuple[int, int], int] = {}
+    numerators = {j: [0] * len(cleared) for j, _ in factors}
     for m, ur in laurent:
         for (j, factor), c in zip(factors, ur):
-            if c:
-                numerators[(m, j)] = factor * c
+            numerators[j][m - 1] = factor * c
     return numerators, denominator
 
 
@@ -338,14 +338,19 @@ def _principal_parts(poly: Poly, r: int, v: int) -> dict[tuple[int, int], Fracti
     G = sum c / (s+m)**j exactly (G is proper); see _principal_numerators.
     """
     numerators, denominator = _principal_numerators(poly, r, v)
-    return {key: Fraction(c, denominator) for key, c in numerators.items()}
+    return {
+        (m, j): Fraction(c, denominator)
+        for j, cs in numerators.items()
+        for m, c in enumerate(cs, 1)
+        if c
+    }
 
 
 def decompose(poly: Poly, r: int, v: int) -> ZetaCombination:
     """Exact zeta-combination equal to (-1)**v * sum_{k>=0} G(k)."""
     poly = check_series_args(poly, r, v)
     numerators, denominator = _principal_numerators(poly, r, v)
-    residues = sum(c for (_, j), c in numerators.items() if j == 1)
+    residues = sum(numerators.get(1, ()))
     if residues != 0:
         # decay >= 2 forces the order-1 coefficients to cancel; if they do
         # not, the arithmetic upstream is broken, so abort loudly
@@ -353,30 +358,21 @@ def decompose(poly: Poly, r: int, v: int) -> ZetaCombination:
             "internal invariant violation: order-1 residues sum to "
             f"{Fraction(residues, denominator)}, not 0"
         )
-    # C/(s+m)**j sums to C zeta(j) - C H_{m-1}^(j), where the harmonic sum
-    # H_m^(j) = sum_{t<=m} t**-j is harmonic[j][m] / L**j, L = lcm(1..mu-1),
-    # kept as integer running sums up to m = mu - 1 for the orders
-    # v+1..r+v that the numerators have
+    # C_m/(s+m)**j sums to C_m zeta(j) - C_m H_{m-1}^(j), where the harmonic
+    # sum H_N^(j) = sum_{t<=N} t**-j is a running integer sum of (L/t)**j over
+    # L**j, L = lcm(1..mu-1); the constant, over denominator * L**top, is minus
+    # each order's numerators dotted with its H_0..H_{mu-1}
     mu = len(poly.coeffs)
     L = lcm_upto(mu - 1)
     quotients = [L // t for t in range(1, mu)]
     top = r + v
-    harmonic = {
-        j: list(itertools.accumulate((q**j for q in quotients), initial=0))
-        for j in range(v + 1, top + 1)
-    }
-    zeta = dict.fromkeys(range(2, top + 1), 0)
-    # corrections[j] = sum_m C H_{m-1}^(j) over denominator * L**j; the
-    # constant is minus their sum, over denominator * L**top
-    corrections = dict.fromkeys(harmonic, 0)
-    for (m, j), c in numerators.items():
-        if j > 1:
-            zeta[j] += c
-        corrections[j] += c * harmonic[j][m - 1]
-    constant = -sum(x * L ** (top - j) for j, x in corrections.items())
+    constant = 0
+    for j, cs in numerators.items():
+        harmonic = itertools.accumulate((q**j for q in quotients), initial=0)
+        constant -= sum(map(operator.mul, cs, harmonic)) * L ** (top - j)
     sign = -1 if v % 2 else 1
     return ZetaCombination.make(
-        {j: Fraction(sign * q, denominator) for j, q in zeta.items()},
+        {j: Fraction(sign * sum(cs), denominator) for j, cs in numerators.items() if j > 1},
         Fraction(sign * constant, denominator * L**top),
     )
 

@@ -754,7 +754,7 @@ def mc_integral(
 
         int (x1...xr)**z (-log(x1...xr))**v / (1 - x1...xr) * prod R(xi) dx.
 
-    z >= 0 keeps all poles outside the cube.  Every draw lies in
+    A finite z >= 0 keeps all poles outside the cube.  Every draw lies in
     [2**-53, 1 - 2**-53] (see _draws), so the integrand is finite at every
     sample: a rounded product never exceeds its first factor, so
     1 / (1 - x1...xr) <= 2**53, and for r <= 20 the product is at least
@@ -771,8 +771,8 @@ def mc_integral(
     """
     poly = check_series_args(poly, r, v)
     z = float(z)
-    if z < 0:
-        raise ValueError("z must be >= 0 (negative z moves poles into range)")
+    if not 0 <= z < math.inf:
+        raise ValueError("z must be a finite number >= 0 (negative z moves poles into range)")
     if samples < 10**4:
         raise ValueError("samples must be >= 10**4")
     if samples * r >= 2**64:
@@ -915,7 +915,7 @@ def shifted_series_value(poly: Poly, r: int, z: int, precision: int = 30) -> Hig
     Shifting the series start keeps everything exact: the value is the
     full decomposition with the first z exact terms taken off its constant.
     """
-    if z < 0 or int(z) != z:
+    if not 0 <= z < math.inf or int(z) != z:
         raise ValueError("z must be a nonnegative integer here")
     poly = check_series_args(poly, r, 0)
     combo = decompose(poly, r, 0)

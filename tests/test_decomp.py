@@ -300,6 +300,7 @@ def test_decomposition_report_custom_coeffs_defaults_degree():
     rep = decomposition_report(Poly([1, -2]), 2, 0)
     assert rep.n == 1
     assert rep.combo == decompose(legendre_coeffs(1), 2, 0)
+    assert decomposition_report([1, -2], 2, 0) == rep
 
 
 def test_combination_canonical_and_roundtrip():

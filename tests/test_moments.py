@@ -48,6 +48,8 @@ def test_closed_form_examples():
     assert moment_closed_form(0) == (Poly([1]), linear(1))
     assert moment_closed_form(1) == moment_from_coeffs(Poly([1, -2]))
     assert moment_closed_form(2) == moment_from_coeffs(Poly([1, -6, 6]))
+    with pytest.raises(ValueError):
+        moment_closed_form(-1)
 
 
 def test_closed_form_matches_coefficient_sum_to_20():

@@ -65,9 +65,16 @@ def test_integrate_examples():
 
 def test_poly_canonical_form():
     assert Poly([1, 2, 0, 0]) == Poly([1, 2])
+    assert hash(Poly([1, 2, 0, 0])) == hash(Poly([1, 2]))
+    assert repr(Poly([Fraction(1, 2), -3, 0])) == "Poly(['1/2', '-3'])"
     assert Poly([0, 0]).is_zero
+    assert not Poly([0, 0])
+    assert Poly([3])
     assert Poly().degree == -1
     assert Poly([3]).degree == 0
+    # a Poly equals only a Poly, not its coefficient sequence
+    assert Poly([1, 2]) != [1, 2]
+    assert Poly([1, 2]) != (Fraction(1), Fraction(2))
 
 
 def test_poly_arithmetic_basics():
@@ -77,6 +84,9 @@ def test_poly_arithmetic_basics():
     assert p + q == Poly([0, 2])
     assert p - p == Poly()
     assert p**3 == Poly([1, 3, 3, 1])
+    assert p * Poly() == Poly() * p == Poly()
+    with pytest.raises(ValueError):
+        p**-1
     assert Poly([1, 2, 3]).derivative() == Poly([2, 6])
     assert Poly([5]).derivative().is_zero
 

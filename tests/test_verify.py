@@ -412,8 +412,10 @@ def test_mc_z_shift():
 def test_mc_validation(monkeypatch):
     with pytest.raises(ValueError):
         mc_integral(legendre_coeffs(0), 1, 0, 0.0, 10**5, seed=1)
-    with pytest.raises(ValueError):
-        mc_integral(legendre_coeffs(0), 2, 0, -0.5, 10**5, seed=1)
+    # NaN fails every comparison, so a plain z < 0 test would let it through
+    for z in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="z must be a finite number >= 0"):
+            mc_integral(legendre_coeffs(0), 2, 0, z, 10**5, seed=1)
     with pytest.raises(ValueError):
         mc_integral(legendre_coeffs(0), 2, 0, 0.0, 999, seed=1)
     # samples * r counters must stay below 2**64; a run past that is
@@ -545,6 +547,14 @@ def test_crosscheck_reports_an_overflowed_monte_carlo_estimate_as_unconfirmed(mo
         assert not rep.exact_vs_mc_ok
 
 
+def test_magnitude_digits_counts_the_integer_digits_to_within_one():
+    assert verify._magnitude_digits(Fraction(0)) == 0
+    assert verify._magnitude_digits(Fraction(1, 10**6)) == 0
+    for x in (Fraction(1), Fraction(-7, 3), Fraction(10**30), Fraction(3**200, 7**5)):
+        digits = len(str(abs(x.numerator) // x.denominator))
+        assert abs(verify._magnitude_digits(x) - digits) <= 1, x
+
+
 def test_shifted_series_value_encloses_the_shifted_zeta_series():
     # sum_{k>=0} 1/(k+z+1)**2 = zeta(2) - H_z^(2), certified to the precision asked
     with mpmath.workdps(80):
@@ -566,5 +576,6 @@ def test_generating_function_shift_invariant():
 
 
 def test_shifted_series_validation():
-    with pytest.raises(ValueError):
-        shifted_series_value(legendre_coeffs(0), 2, -1, 20)
+    for z in (-1, 0.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            shifted_series_value(legendre_coeffs(0), 2, z, 20)
