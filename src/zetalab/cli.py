@@ -1,10 +1,16 @@
 """Command-line front end.
 
 Subcommands: poly, moment, decompose, value, scan, verify.  The command
-table `_COMMANDS` is the one list of them; a run builds only the invoked
-command's parser.  stdout carries machine-parseable CSV or JSON only, and
-one emitter, `_emit`, writes it for every command: the payload as one JSON
-line, or under --format csv an RFC 4180 table of the command's rows.
+table `_COMMANDS` is the one list of them and of their options.  A
+well-formed command line (exact long flags, each once, with valid values)
+is read straight from that table.  Anything else (--help, abbreviations,
+negative separate values, unknown or repeated flags) goes to argparse,
+which is imported, and its parsers built from the same table, only then:
+help texts and usage errors are argparse's own.
+
+stdout carries machine-parseable CSV or JSON only, and one emitter,
+`_emit`, writes it for every command: the payload as one JSON line, or
+under --format csv an RFC 4180 table of the command's rows.
 Diagnostics and progress go to stderr.
 Exit codes: 0 success, 1 verification failure, 2 usage or validation error.
 
@@ -16,12 +22,12 @@ stores exact rationals, so cached and fresh results compare equal exactly.
 
 from __future__ import annotations
 
-import argparse
 import csv
-import functools
 import json
 import os
 import sys
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import mpmath
 
@@ -29,6 +35,9 @@ from .cache import DecompositionCache
 from .decomp import decompose, decomposition_report, moment_from_coeffs
 from .polys import Poly, legendre_coeffs
 from .verify import _check_precision, crosscheck, eval_combination, rationality_criterion
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["main"]
 
@@ -163,107 +172,159 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-# -- parser ------------------------------------------------------------------
+# -- options ---------------------------------------------------------------
 
 
-def _add_rv(p):
-    p.add_argument("--r", type=int, required=True, help="number of integral folds (>= 2)")
-    p.add_argument("--v", type=int, required=True, help="log-weight power (>= 0)")
+class _Option(NamedTuple):
+    """One --flag of a command: the arguments argparse's add_argument takes."""
+
+    flag: str
+    dest: str
+    type: Callable[[str], object] = str
+    default: object = None
+    required: bool = False
+    choices: tuple[str, ...] | None = None
+    help: str | None = None
 
 
-def _add_poly_selection(p):
-    p.add_argument("--n", type=int, help="degree of the built-in family member")
-    p.add_argument(
-        "--coeffs",
-        help=(
-            "comma-separated integer coefficients, lowest degree first; "
-            "write --coeffs=-3,2 when the first one is negative"
-        ),
-    )
+_N = _Option("--n", "n", int, help="degree of the built-in family member")
+_COEFFS = _Option(
+    "--coeffs",
+    "coeffs",
+    help=(
+        "comma-separated integer coefficients, lowest degree first; "
+        "write --coeffs=-3,2 when the first one is negative"
+    ),
+)
+_R = _Option("--r", "r", int, required=True, help="number of integral folds (>= 2)")
+_V = _Option("--v", "v", int, required=True, help="log-weight power (>= 0)")
+_PREC = _Option("--prec", "prec", int, 30, help="decimal digits (default 30)")
+_FORMAT = _Option("--format", "format", default="json", choices=("csv", "json"))
+_CACHE = _Option("--cache", "cache", help="cache directory (default: $ZETALAB_CACHE)")
 
 
-def _add_format(p, default):
-    p.add_argument("--format", choices=("csv", "json"), default=default)
+class _Command(NamedTuple):
+    help: str
+    options: tuple[_Option, ...]
+    handler: Callable[[SimpleNamespace], int]
 
 
-def _poly_arguments(p):
-    p.add_argument("--n", type=int, required=True)
-    _add_format(p, "json")
-
-
-def _moment_arguments(p):
-    _add_poly_selection(p)
-    _add_format(p, "json")
-
-
-def _decompose_arguments(p):
-    _add_poly_selection(p)
-    _add_rv(p)
-    _add_format(p, "json")
-    p.add_argument("--cache", help="cache directory (default: $ZETALAB_CACHE)")
-
-
-def _value_arguments(p):
-    _add_poly_selection(p)
-    _add_rv(p)
-    p.add_argument("--prec", type=int, default=30, help="decimal digits (default 30)")
-    _add_format(p, "json")
-    p.add_argument("--cache", help="cache directory (default: $ZETALAB_CACHE)")
-
-
-def _scan_arguments(p):
-    _add_rv(p)
-    p.add_argument("--n-max", type=int, required=True, dest="n_max")
-    p.add_argument("--prec", type=int, default=30, help="decimal digits (default 30)")
-    _add_format(p, "csv")
-    p.add_argument("--cache", help="cache directory (default: $ZETALAB_CACHE)")
-    p.add_argument(
-        "--progress-every",
-        type=int,
-        default=0,
-        help="print progress to stderr every K rows (0 = off)",
-    )
-
-
-def _verify_arguments(p):
-    _add_poly_selection(p)
-    _add_rv(p)
-    p.add_argument("--prec", type=int, default=30, help="decimal digits (default 30)")
-    p.add_argument(
-        "--samples", type=int, default=100_000, help="Monte Carlo samples (default 100000)"
-    )
-    p.add_argument("--seed", type=int, default=42, help="Monte Carlo seed (default 42)")
-
-
-# name: (help, add_arguments, handler); the one list of subcommands, in help order
+# the one list of subcommands, in help order, each with its options in usage order
 _COMMANDS = {
-    "poly": ("print the degree-n family polynomial", _poly_arguments, _cmd_poly),
-    "moment": ("print the moment rational function M(s)", _moment_arguments, _cmd_moment),
-    "decompose": ("exact zeta-combination report", _decompose_arguments, _cmd_decompose),
-    "value": (
+    "poly": _Command(
+        "print the degree-n family polynomial",
+        (_Option("--n", "n", int, required=True), _FORMAT),
+        _cmd_poly,
+    ),
+    "moment": _Command("print the moment rational function M(s)", (_N, _COEFFS, _FORMAT), _cmd_moment),
+    "decompose": _Command(
+        "exact zeta-combination report", (_N, _COEFFS, _R, _V, _FORMAT, _CACHE), _cmd_decompose
+    ),
+    "value": _Command(
         "high-precision numeric value of the decomposition",
-        _value_arguments,
+        (_N, _COEFFS, _R, _V, _PREC, _FORMAT, _CACHE),
         _cmd_value,
     ),
-    "scan": ("criterion-quantity table over n = 0..n_max", _scan_arguments, _cmd_scan),
-    "verify": (
+    "scan": _Command(
+        "criterion-quantity table over n = 0..n_max",
+        (
+            _R,
+            _V,
+            _Option("--n-max", "n_max", int, required=True),
+            _PREC,
+            _FORMAT._replace(default="csv"),
+            _CACHE,
+            _Option(
+                "--progress-every",
+                "progress_every",
+                int,
+                0,
+                help="print progress to stderr every K rows (0 = off)",
+            ),
+        ),
+        _cmd_scan,
+    ),
+    "verify": _Command(
         "three-path crosscheck; exit 0 on pass, 1 on fail",
-        _verify_arguments,
+        (
+            _N,
+            _COEFFS,
+            _R,
+            _V,
+            _PREC,
+            _Option("--samples", "samples", int, 100_000, help="Monte Carlo samples (default 100000)"),
+            _Option("--seed", "seed", int, 42, help="Monte Carlo seed (default 42)"),
+        ),
         _cmd_verify,
     ),
 }
 
 
-@functools.cache
-def _command_parser(name: str) -> argparse.ArgumentParser:
-    """The parser that add_parser would make for `name`, built once per process."""
-    p = argparse.ArgumentParser(prog=f"zetalab {name}")
-    _COMMANDS[name][1](p)
+def _read_args(name: str, argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would return for command `name`, if `argv` is well formed.
+
+    Well formed: only exact long flags of the command, none twice, each
+    written `--flag value` or `--flag=value`; no value is empty or "--"
+    (which argparse strips), no separate value starts with "-", every value
+    converts by its type and lies within its choices, and every required
+    flag is present.  Anything else returns None and is left to argparse,
+    which owns help and usage errors.
+    """
+    options = _COMMANDS[name].options
+    by_flag = {option.flag: option for option in options}
+    values = {}
+    tokens = iter(argv)
+    for token in tokens:
+        flag, eq, text = token.partition("=")
+        option = by_flag.get(flag)
+        if option is None or option.dest in values:
+            return None
+        if not eq:
+            text = next(tokens, "")
+            if text.startswith("-"):
+                return None
+        if not text or text == "--":
+            return None
+        try:
+            value = option.type(text)
+        except ValueError:
+            return None
+        if option.choices is not None and value not in option.choices:
+            return None
+        values[option.dest] = value
+    if any(option.required and option.dest not in values for option in options):
+        return None
+    return SimpleNamespace(**{o.dest: values.get(o.dest, o.default) for o in options})
+
+
+# -- argparse: help and usage errors only ------------------------------------
+
+
+def _add_options(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    for o in _COMMANDS[name].options:
+        p.add_argument(
+            o.flag,
+            dest=o.dest,
+            type=o.type,
+            default=o.default,
+            required=o.required,
+            choices=o.choices,
+            help=o.help,
+        )
     return p
+
+
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser that add_parser would make for `name`."""
+    import argparse
+
+    return _add_options(argparse.ArgumentParser(prog=f"zetalab {name}"), name)
 
 
 def _top_parser() -> argparse.ArgumentParser:
     """The whole tree, for an argv that does not start with a command."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="zetalab",
         description=(
@@ -273,8 +334,8 @@ def _top_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments, _) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, command in _COMMANDS.items():
+        _add_options(sub.add_parser(name, help=command.help), name)
     return ap
 
 
@@ -286,12 +347,15 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
-        if argv and argv[0] in _COMMANDS:
-            command, args = argv[0], _command_parser(argv[0]).parse_args(argv[1:])
-        else:
+        command = argv[0] if argv and argv[0] in _COMMANDS else None
+        if command is None:
             args = _top_parser().parse_args(argv)
             command = args.command
-        return _COMMANDS[command][2](args)
+        else:
+            args = _read_args(command, argv[1:])
+            if args is None:
+                args = _command_parser(command).parse_args(argv[1:])
+        return _COMMANDS[command].handler(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

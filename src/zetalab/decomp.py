@@ -298,7 +298,7 @@ def _correlation_laurent(
     Near the pole s = -m of M = sum_l a_l/(s+l+1), with t = s + m,
     t*M = u(t) = a_{m-1} + sum_{i>=1} u_i t**i where u_i = sum_{p != m}
     a_{p-1} (-1)**(i-1) / (p-m)**i.  The principal part of M**r there is
-    u**r mod t**r: O(deg**2 r) products over all poles.
+    u**r mod t**r, by Miller's power recurrence: O(deg r + r**2) per pole.
 
     All of it runs in integers: A clears the denominators of the a's, and
     with L = lcm(1..mu-1) (mu = deg + 1, the farthest pole) and
@@ -325,9 +325,18 @@ def _correlation_laurent(
             right = sum(map(operator.mul, above, row))
             # (-1)**(i-1) (p-m)**-i is (-1)**(i-1) q**-i above the pole, -q**-i below
             u.append((right if i % 2 else -right) - left)
-        ur = u
-        for _ in range(r - 1):
-            ur = [sum(map(operator.mul, ur[: k + 1], u[k::-1])) for k in range(r)]
+        # P = u**r mod t**r by J.C.P. Miller's recurrence, from P'u = r u'P:
+        # k u_0 P_k = sum_{i=1..k} ((r+1) i - k) u_i P_{k-i}, exact in integers
+        u0 = u[0]
+        ur = [u0**r]
+        for k in range(1, r):
+            total = sum(((r + 1) * i - k) * u[i] * ur[k - i] for i in range(1, k + 1))
+            pk, remainder = divmod(total, k * u0)
+            if remainder:
+                raise RuntimeError(
+                    f"internal invariant violation: {k} u_0 does not divide the order-{k} sum"
+                )
+            ur.append(pk)
         laurent.append((m, ur))
     return laurent, (A * S) ** r
 

@@ -1,5 +1,7 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import re
 import subprocess
@@ -7,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zetalab import Poly, crosscheck, decompose, legendre_coeffs, moment_closed_form
 from zetalab.cache import DecompositionCache
@@ -250,44 +253,129 @@ def test_verify_help_names_its_defaults(monkeypatch, capsys):
     assert "--seed SEED        Monte Carlo seed (default 42)" in out
 
 
-def test_only_the_invoked_commands_parser_is_built(monkeypatch, capsys):
+# one well-formed command line per command, in both --flag value and --flag=value forms
+VALID_RUNS = [
+    ["poly", "--n", "2", "--format=csv"],
+    ["moment", "--coeffs=-3,2"],
+    ["decompose", "--n", "0", "--r", "2", "--v", "0"],
+    ["value", "--coeffs=1,-2", "--r", "2", "--v", "0", "--prec", "15"],
+    ["scan", "--r", "2", "--v", "0", "--n-max", "1", "--prec=15"],
+    ["verify", "--n", "0", "--r", "2", "--v", "0", "--prec", "15",
+     "--samples", "10000", "--seed", "1"],
+]
+
+
+def run_fresh(code):
+    """stdout of `code` run in a fresh interpreter after `from zetalab.cli import main`."""
+    prelude = "import contextlib, io, sys\nfrom zetalab.cli import main\n"
+    proc = subprocess.run([sys.executable, "-c", prelude + code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_valid_runs_build_no_parser(monkeypatch, capsys):
     import zetalab.cli as cli
 
-    def no_top_parser():
-        raise AssertionError("a valid command reached the top-level parser")
+    def no_parser(*args):
+        raise AssertionError("a well-formed command line reached argparse")
 
     monkeypatch.delenv("ZETALAB_CACHE", raising=False)
-    monkeypatch.setattr(cli, "_top_parser", no_top_parser)
-    cli._command_parser.cache_clear()
-    runs = [
-        ["poly", "--n", "2"],
-        ["moment", "--n", "1"],
-        ["decompose", "--n", "0", "--r", "2", "--v", "0"],
-        ["value", "--n", "0", "--r", "2", "--v", "0", "--prec", "15"],
-        ["scan", "--r", "2", "--v", "0", "--n-max", "1", "--prec", "15"],
-        ["verify", "--n", "0", "--r", "2", "--v", "0", "--prec", "15",
-         "--samples", "10000", "--seed", "1"],
-    ]
-    for built, argv in enumerate(runs, 1):
-        assert main(argv) == 0
-        assert cli._command_parser.cache_info().currsize == built
-    for argv in runs:
-        assert main(argv) == 0
-    assert cli._command_parser.cache_info().currsize == len(runs)
+    monkeypatch.setattr(cli, "_command_parser", no_parser)
+    monkeypatch.setattr(cli, "_top_parser", no_parser)
+    for argv in VALID_RUNS:
+        assert main(argv) == 0, argv
     capsys.readouterr()
 
-    # importing builds no parser, and not even a full verify run, Monte Carlo
-    # leg included, imports numpy.random
-    code = (
-        "import sys, zetalab.cli as cli; "
-        "print(cli._command_parser.cache_info().currsize, 'numpy.random' in sys.modules); "
-        "code = cli.main(['verify', '--n', '0', '--r', '2', '--v', '0', '--prec', '15', "
-        "'--samples', '10000', '--seed', '1']); "
-        "print(code, 'numpy.random' in sys.modules)"
+    # a fresh interpreter runs all six, a full verify with its Monte Carlo leg
+    # among them, without importing argparse or numpy.random; --help and a
+    # usage error are what import argparse
+    quiet = "contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO())"
+    out = run_fresh(
+        f"with {quiet}:\n"
+        f"    codes = [main(argv) for argv in {VALID_RUNS!r}]\n"
+        "print(codes, 'argparse' in sys.modules, 'numpy.random' in sys.modules)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.startswith("0 False\n") and proc.stdout.endswith("}\n0 False\n"), proc.stdout
+    assert out == f"{[0] * len(VALID_RUNS)} False False\n"
+    for argv in (["value", "--help"], ["scan", "--r", "2", "--v", "1"]):
+        out = run_fresh(
+            f"with {quiet}, contextlib.suppress(SystemExit):\n"
+            f"    main({argv!r})\n"
+            "print('argparse' in sys.modules)\n"
+        )
+        assert out == "True\n", argv
+
+
+def _flag_pieces(flag, value):
+    """`--flag value` or `--flag=value`, as tokens."""
+    return st.sampled_from([[flag, value], [f"{flag}={value}"]])
+
+
+@st.composite
+def _option_piece(draw, option, clean):
+    """One option's tokens; `clean` ones use the exact flag and a valid, non-negative value."""
+    if option.choices is not None:
+        good = st.sampled_from(option.choices)
+    elif option.type is int:
+        good = st.integers(0, 10**6).map(str)
+    else:
+        good = st.text("0123456789,", min_size=1, max_size=8).filter(lambda t: not t.startswith(","))
+    if clean:
+        return draw(_flag_pieces(option.flag, draw(good)))
+    flag = option.flag[: draw(st.integers(3, len(option.flag)))]  # abbreviated, or not
+    value = draw(
+        st.one_of(
+            good,
+            st.integers(-99, -1).map(str),
+            st.sampled_from(["", "-", "--", "-h", "x", "1.5", " 7", " -7", "+4", "1_0", "-3,2", "xml"]),
+            st.text("0123456789,-=x h", max_size=5),
+        )
+    )
+    return draw(_flag_pieces(flag, value))
+
+
+@st.composite
+def _command_lines(draw):
+    """(name, argv, clean): argv is well formed when `clean` is True."""
+    from zetalab.cli import _COMMANDS
+
+    name = draw(st.sampled_from(sorted(_COMMANDS)))
+    options = _COMMANDS[name].options
+    clean = draw(st.booleans())
+    pieces = [
+        draw(_option_piece(o, clean or draw(st.booleans())))
+        for o in options
+        if o.required or draw(st.booleans())
+    ]
+    if not clean:
+        noise = st.one_of(
+            st.sampled_from(options).flatmap(lambda o: _option_piece(o, False)),  # repeats
+            st.sampled_from(options).map(lambda o: [o.flag]),  # no value
+            st.sampled_from(["-h", "--help", "--bogus", "--", "-", "x", "--n-max", "--n"]).map(
+                lambda t: [t]
+            ),
+        )
+        pieces += draw(st.lists(noise, max_size=3))
+    pieces = draw(st.permutations(pieces))
+    return name, [token for piece in pieces for token in piece], clean
+
+
+@settings(max_examples=300)
+@given(line=_command_lines())
+def test_table_reader_agrees_with_argparse(line):
+    """The reader declines an argv or returns argparse's namespace for it, never a third thing."""
+    import zetalab.cli as cli
+
+    name, argv, clean = line
+    read = cli._read_args(name, argv)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            expected = vars(cli._command_parser(name).parse_args(argv))
+    except SystemExit:
+        expected = None
+    if clean:
+        assert read is not None
+    if read is not None:
+        assert vars(read) == expected
 
 
 # (argv, environment); "{tmp}" stands for an existing regular file
