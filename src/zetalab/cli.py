@@ -172,7 +172,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.passed else 1
 
 
-# -- options ---------------------------------------------------------------
+# -- options -----------------------------------------------------------------
 
 
 class _Option(NamedTuple):
@@ -216,7 +216,9 @@ _COMMANDS = {
         (_Option("--n", "n", int, required=True), _FORMAT),
         _cmd_poly,
     ),
-    "moment": _Command("print the moment rational function M(s)", (_N, _COEFFS, _FORMAT), _cmd_moment),
+    "moment": _Command(
+        "print the moment rational function M(s)", (_N, _COEFFS, _FORMAT), _cmd_moment
+    ),
     "decompose": _Command(
         "exact zeta-combination report", (_N, _COEFFS, _R, _V, _FORMAT, _CACHE), _cmd_decompose
     ),
@@ -235,10 +237,7 @@ _COMMANDS = {
             _FORMAT._replace(default="csv"),
             _CACHE,
             _Option(
-                "--progress-every",
-                "progress_every",
-                int,
-                0,
+                "--progress-every", "progress_every", int, 0,
                 help="print progress to stderr every K rows (0 = off)",
             ),
         ),
@@ -252,7 +251,9 @@ _COMMANDS = {
             _R,
             _V,
             _PREC,
-            _Option("--samples", "samples", int, 100_000, help="Monte Carlo samples (default 100000)"),
+            _Option(
+                "--samples", "samples", int, 100_000, help="Monte Carlo samples (default 100000)"
+            ),
             _Option("--seed", "seed", int, 42, help="Monte Carlo seed (default 42)"),
         ),
         _cmd_verify,

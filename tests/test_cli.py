@@ -9,11 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zetalab import Poly, crosscheck, decompose, legendre_coeffs, moment_closed_form
 from zetalab.cache import DecompositionCache
-from zetalab.cli import main
+from zetalab.cli import _COMMANDS, _command_parser, _read_args, main
 
 
 def run_cli(args, **kw):
@@ -305,71 +305,89 @@ def test_valid_runs_build_no_parser(monkeypatch, capsys):
         assert out == "True\n", argv
 
 
-def _flag_pieces(flag, value):
-    """`--flag value` or `--flag=value`, as tokens."""
-    return st.sampled_from([[flag, value], [f"{flag}={value}"]])
-
-
-@st.composite
-def _option_piece(draw, option, clean):
-    """One option's tokens; `clean` ones use the exact flag and a valid, non-negative value."""
+def _good_value(option):
+    """Values that argparse and the reader both take as they are."""
     if option.choices is not None:
-        good = st.sampled_from(option.choices)
-    elif option.type is int:
-        good = st.integers(0, 10**6).map(str)
-    else:
-        good = st.text("0123456789,", min_size=1, max_size=8).filter(lambda t: not t.startswith(","))
-    if clean:
-        return draw(_flag_pieces(option.flag, draw(good)))
-    flag = option.flag[: draw(st.integers(3, len(option.flag)))]  # abbreviated, or not
-    value = draw(
-        st.one_of(
-            good,
-            st.integers(-99, -1).map(str),
-            st.sampled_from(["", "-", "--", "-h", "x", "1.5", " 7", " -7", "+4", "1_0", "-3,2", "xml"]),
-            st.text("0123456789,-=x h", max_size=5),
-        )
-    )
-    return draw(_flag_pieces(flag, value))
+        return st.sampled_from(option.choices)
+    if option.type is int:
+        return st.integers(0, 10**6).map(str)
+    return st.text("0123456789,", min_size=1, max_size=8)
+
+
+# values that are negative, empty, argparse's own syntax or not of the option's type
+_ODD_VALUES = st.sampled_from(
+    ["-1", "-42", "", "-", "--", "-h", "--help", "x", "1.5", " 7", " -7", "+4", "1_0", "-3,2", "xml"]
+)
+_DEFECTS = ["omit", "abbreviate", "odd value", "repeat", "no value", "stray token"]
 
 
 @st.composite
 def _command_lines(draw):
-    """(name, argv, clean): argv is well formed when `clean` is True."""
-    from zetalab.cli import _COMMANDS
-
+    """(name, argv, clean): a well-formed argv, then up to two defects; clean if none."""
     name = draw(st.sampled_from(sorted(_COMMANDS)))
     options = _COMMANDS[name].options
-    clean = draw(st.booleans())
+    # [flag, value or None, joined by "="]
     pieces = [
-        draw(_option_piece(o, clean or draw(st.booleans())))
+        [o.flag, draw(_good_value(o)), draw(st.booleans())]
         for o in options
         if o.required or draw(st.booleans())
     ]
-    if not clean:
-        noise = st.one_of(
-            st.sampled_from(options).flatmap(lambda o: _option_piece(o, False)),  # repeats
-            st.sampled_from(options).map(lambda o: [o.flag]),  # no value
-            st.sampled_from(["-h", "--help", "--bogus", "--", "-", "x", "--n-max", "--n"]).map(
-                lambda t: [t]
-            ),
-        )
-        pieces += draw(st.lists(noise, max_size=3))
+    defects = draw(st.lists(st.sampled_from(_DEFECTS), max_size=2))
+    for defect in defects:
+        if defect == "stray token" or not pieces:
+            token = draw(st.sampled_from(["-h", "--help", "--bogus", "--", "-", "x", "--n-max", "--n"]))
+            pieces.append([token, None, False])
+            continue
+        k = draw(st.integers(0, len(pieces) - 1))
+        flag = pieces[k][0]
+        if defect == "omit":
+            del pieces[k]
+        elif defect == "abbreviate":
+            pieces[k][0] = flag[: draw(st.integers(3, max(3, len(flag) - 1)))]
+        elif defect == "odd value":
+            pieces[k][1] = draw(_ODD_VALUES)
+        elif defect == "repeat":
+            option = next((o for o in options if o.flag == flag), None)
+            value = draw(_good_value(option)) if option else None
+            pieces.append([flag, value, draw(st.booleans())])
+        else:  # "no value"
+            pieces[k][1:] = [None, False]
     pieces = draw(st.permutations(pieces))
-    return name, [token for piece in pieces for token in piece], clean
+    argv = []
+    for flag, value, joined in pieces:
+        if joined and value is not None:
+            argv.append(f"{flag}={value}")
+        else:
+            argv += [flag] if value is None else [flag, value]
+    return name, argv, not defects
 
 
 @settings(max_examples=300)
 @given(line=_command_lines())
+# argparse reads "--coeffs=--" as an empty list, "--coeffs -3,2" as a missing
+# value and "--s" in verify as ambiguous; "--n" abbreviates scan's --n-max;
+# it refuses a flag without its value, an empty int, a non-int and a format
+# outside its choices
+@example(line=("moment", ["--coeffs=--"], False))
+@example(line=("moment", ["--coeffs", "-3,2"], False))
+@example(line=("moment", ["--coeffs", "-h"], False))
+@example(line=("poly", ["--n", "-1"], False))
+@example(line=("verify", ["--n", "1", "--r", "2", "--v", "0", "--s", "5"], False))
+@example(line=("scan", ["--r", "2", "--v", "1", "--n", "3"], False))
+@example(line=("moment", ["--coeffs"], False))
+@example(line=("poly", ["--n="], False))
+@example(line=("poly", ["--n", "x"], False))
+@example(line=("poly", ["--n", "2", "--format", "xml"], False))
 def test_table_reader_agrees_with_argparse(line):
-    """The reader declines an argv or returns argparse's namespace for it, never a third thing."""
-    import zetalab.cli as cli
+    """The reader declines an argv or returns argparse's namespace for it, and reads clean ones.
 
+    It never accepts an argv that argparse refuses or answers with help.
+    """
     name, argv, clean = line
-    read = cli._read_args(name, argv)
+    read = _read_args(name, argv)
     try:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            expected = vars(cli._command_parser(name).parse_args(argv))
+            expected = vars(_command_parser(name).parse_args(argv))
     except SystemExit:
         expected = None
     if clean:
