@@ -32,8 +32,8 @@ for target in ("1e-6", "1e-10", "1e-14"):
 print()
 print("The sampler is a counter-based (SplitMix64) generator: same seed, same")
 print("estimate, bit for bit; each sample's draws are fixed by its counters.")
-a = mc_integral(legendre_coeffs(0), 3, 2, 0.0, 100_000, seed=7)
-b = mc_integral(legendre_coeffs(0), 3, 2, 0.0, 100_000, seed=7)
+a = mc_integral(legendre_coeffs(0), 3, 2, 100_000, seed=7)
+b = mc_integral(legendre_coeffs(0), 3, 2, 100_000, seed=7)
 print(f"  run 1: mean={a.mean!r}")
 print(f"  run 2: mean={b.mean!r}")
 print(f"  identical: {a == b}")

@@ -349,13 +349,18 @@ def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         command = argv[0] if argv and argv[0] in _COMMANDS else None
-        if command is None:
-            args = _top_parser().parse_args(argv)
-            command = args.command
-        else:
-            args = _read_args(command, argv[1:])
-            if args is None:
+        args = None if command is None else _read_args(command, argv[1:])
+        if args is None:
+            if command is None:
+                args = _top_parser().parse_args(argv)
+                command = args.command
+            else:
                 args = _command_parser(command).parse_args(argv[1:])
+            # argparse drops the "--" of --flag=--, then gives [] (or "--" from
+            # Python 3.13 on): refuse it as argparse refuses a flag with no value
+            for o in _COMMANDS[command].options:
+                if getattr(args, o.dest) in ([], "--"):
+                    _command_parser(command).error(f"argument {o.flag}: expected one argument")
         return _COMMANDS[command].handler(args)
     except (ValueError, ZeroDivisionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -165,15 +165,6 @@ class ZetaCombination:
     def coeff(self, j: int) -> Fraction:
         return self.as_dict().get(j, Fraction(0))
 
-    @property
-    def max_index(self) -> int:
-        """Largest zeta index with nonzero coefficient (0 if none)."""
-        return self.zeta[-1][0] if self.zeta else 0
-
-    def scaled(self, c) -> "ZetaCombination":
-        c = Fraction(c)
-        return ZetaCombination.make({j: c * q for j, q in self.zeta}, c * self.constant)
-
     def common_denominator(self) -> int:
         """Smallest positive D clearing every coefficient to an integer."""
         return math.lcm(self.constant.denominator, *(q.denominator for _, q in self.zeta))
@@ -339,20 +330,6 @@ def _correlation_laurent(
             ur.append(pk)
         laurent.append((m, ur))
     return laurent, (A * S) ** r
-
-
-def _principal_parts(poly: Poly, r: int, v: int) -> dict[tuple[int, int], Fraction]:
-    """Nonzero partial-fraction coefficients {(m, j): c} of G = d^v/ds^v [M**r].
-
-    G = sum c / (s+m)**j exactly (G is proper); see _principal_numerators.
-    """
-    numerators, denominator = _principal_numerators(poly, r, v)
-    return {
-        (m, j): Fraction(c, denominator)
-        for j, cs in numerators.items()
-        for m, c in enumerate(cs, 1)
-        if c
-    }
 
 
 def decompose(poly: Poly, r: int, v: int) -> ZetaCombination:

@@ -15,10 +15,10 @@ Three independent evaluation paths cross-check each other:
    dropped expansion terms (Cauchy's estimate on a bound for |M|) and on
    the remainder.  The Euler-Maclaurin loop runs on integers too: its
    stopping tests are cross-multiplied comparisons, its corrections one
-   numerator over one denominator, and each Bernoulli number is computed
-   once per process; only the result becomes a Fraction.  It never expands
-   G, and it touches neither partial fractions, nor the Laurent expansions
-   at the poles, nor zeta values;
+   numerator over one denominator, and the Bernoulli numbers come from the
+   tangent numbers once per process; only the result becomes a Fraction.
+   It never expands G, and it touches neither partial fractions, nor the
+   Laurent expansions at the poles, nor zeta values;
 3. ``mc_integral``: plain uniform Monte Carlo over the unit cube.  The
    integrable singularities (log powers at the faces, the simple pole at
    the corner of the cube) keep the variance finite at desk scale, at the
@@ -105,7 +105,6 @@ __all__ = [
     "mc_integral",
     "CrosscheckReport",
     "crosscheck",
-    "shifted_series_value",
 ]
 
 _MC_BLOCK = 1 << 14
@@ -457,9 +456,30 @@ def _cauchy_bound(poly: Poly, r: int, v: int, radius: int) -> Fraction:
 
 
 @functools.cache
+def _bernoulli_table(count: int) -> tuple[tuple[int, int], ...]:
+    """B_2, B_4, ..., B_2count as (numerator, denominator > 0), in lowest terms.
+
+    B_2k = (-1)**(k-1) 2k T_k / (4**k (4**k - 1)), with the tangent numbers
+    T_k from Brent & Harvey's integer recurrence (arXiv:1108.0286).
+    """
+    t = [math.factorial(i) for i in range(count)]  # t[i] ends as T_(i+1)
+    for k in range(1, count):
+        for i in range(k, count):
+            t[i] = (i - k) * t[i - 1] + (i - k + 2) * t[i]
+    return tuple(
+        Fraction((-1) ** (k - 1) * 2 * k * tk, 4**k * (4**k - 1)).as_integer_ratio()
+        for k, tk in enumerate(t, 1)
+    )
+
+
 def _bernoulli(n: int) -> tuple[int, int]:
-    """The Bernoulli number B_n as (numerator, denominator > 0), computed once per process."""
-    return mpmath.bernfrac(n)
+    """B_n for even n >= 2, off a table of 16, 32, 64, ... entries, each built once per process.
+
+    Sixteen entries cover a typical direct sum's corrections in one table;
+    starting from one entry rebuilds the first ones up to five times.
+    """
+    k = n // 2
+    return _bernoulli_table(max(16, 1 << (k - 1).bit_length()))[k - 1]
 
 
 def _euler_maclaurin_sum(poly: Poly, r: int, v: int, tau: Fraction) -> tuple[Fraction, Fraction, int]:
@@ -746,20 +766,18 @@ def mc_integral(
     poly: Poly,
     r: int,
     v: int,
-    z: float = 0.0,
     samples: int = 100_000,
     seed: int = 0,
 ) -> MCEstimate:
     """Uniform Monte Carlo estimate of the r-fold cube integral
 
-        int (x1...xr)**z (-log(x1...xr))**v / (1 - x1...xr) * prod R(xi) dx.
+        int (-log(x1...xr))**v / (1 - x1...xr) * prod R(xi) dx.
 
-    A finite z >= 0 keeps all poles outside the cube.  Every draw lies in
-    [2**-53, 1 - 2**-53] (see _draws), so the integrand is finite at every
-    sample: a rounded product never exceeds its first factor, so
-    1 / (1 - x1...xr) <= 2**53, and for r <= 20 the product is at least
-    2**-1060 > 0, so its log is finite.  No sample is redrawn, and the
-    estimate's rejected count is always 0.  (Past r = 20 a product can
+    Every draw lies in [2**-53, 1 - 2**-53] (see _draws), so the integrand
+    is finite at every sample: a rounded product never exceeds its first
+    factor, so 1 / (1 - x1...xr) <= 2**53, and for r <= 20 the product is
+    at least 2**-1060 > 0, so its log is finite.  No sample is redrawn, and
+    the estimate's rejected count is always 0.  (Past r = 20 a product can
     underflow to 0, and a log power then makes the estimate non-finite.)
 
     Sample i is outputs i * r + 1, ..., i * r + r of the stream, so
@@ -770,9 +788,6 @@ def mc_integral(
     squares to the two lists that math.fsum adds up.
     """
     poly = check_series_args(poly, r, v)
-    z = float(z)
-    if not 0 <= z < math.inf:
-        raise ValueError("z must be a finite number >= 0 (negative z moves poles into range)")
     if samples < 10**4:
         raise ValueError("samples must be >= 10**4")
     if samples * r >= 2**64:
@@ -791,8 +806,6 @@ def mc_integral(
             fx = 1.0 / (1.0 - p)
             if v:
                 fx *= (-np.log(p)) ** v
-            if z > 0:
-                fx *= p**z
             fx *= _row_products(_clenshaw(cheb, u))
             sums.append(float(np.sum(fx)))
             sqs.append(float(np.sum(fx * fx)))
@@ -885,7 +898,7 @@ def crosscheck(
     _check_precision(precision)
     # the Monte Carlo leg first: it refuses a bad sample count before the
     # exact and direct legs spend any time
-    mc = mc_integral(poly, r, v, 0.0, samples, seed)
+    mc = mc_integral(poly, r, v, samples, seed)
     exact = eval_combination(decompose(poly, r, v), precision)
     target = Fraction(1, 10**precision)
     direct, direct_K = _direct_sum(poly, r, v, target)
@@ -908,16 +921,3 @@ def crosscheck(
         exact_vs_mc_ok=ok2,
     )
 
-
-def shifted_series_value(poly: Poly, r: int, z: int, precision: int = 30) -> HighPrecisionValue:
-    """Exact value of sum_{k>=0} M(z+k)**r for integer z >= 0.
-
-    Shifting the series start keeps everything exact: the value is the
-    full decomposition with the first z exact terms taken off its constant.
-    """
-    if not 0 <= z < math.inf or int(z) != z:
-        raise ValueError("z must be a nonnegative integer here")
-    poly = check_series_args(poly, r, 0)
-    combo = decompose(poly, r, 0)
-    head = _head_sum(poly, r, 0, int(z))
-    return eval_combination(ZetaCombination(combo.zeta, combo.constant - head), precision)

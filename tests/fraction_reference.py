@@ -13,6 +13,10 @@ the common factor Q**(r+k-1) cancelled.  The pair stays canonical: Q**(r+v)
 is monic, and at each (simple) root of Q, N_{k+1} = -(r+k) N_k Q' != 0, so
 by induction N_v shares no root with Q.
 
+``library_principal_parts`` reads the library's integer principal parts
+in the ``{(m, j): c}`` form of ``principal_parts``, so the two compare with
+``==``.
+
 ``shifted_chebyshev`` is the Monte Carlo oracle's conversion to the
 Chebyshev basis shifted to [0, 1] by Horner's rule, one ``Fraction`` step
 per coefficient and term; the library reads the same rationals off a
@@ -30,7 +34,7 @@ import mpmath
 import numpy as np
 
 from zetalab import Poly, ZetaCombination, moment_from_coeffs
-from zetalab.decomp import check_series_args, lcm_upto
+from zetalab.decomp import _principal_numerators, check_series_args, lcm_upto
 from zetalab.verify import (
     _TWO_PI_DEN,
     _TWO_PI_NUM,
@@ -103,6 +107,18 @@ def principal_parts_upto(poly: Poly, r: int, v_max: int) -> list[dict[tuple[int,
 def principal_parts(poly: Poly, r: int, v: int) -> dict[tuple[int, int], Fraction]:
     """{(m, j): c} with G = d^v/ds^v [M**r] = sum c / (s+m)**j."""
     return principal_parts_upto(poly, r, v)[v]
+
+
+def library_principal_parts(poly: Poly, r: int, v: int) -> dict[tuple[int, int], Fraction]:
+    """The library's principal parts (decomp._principal_numerators) in the
+    form principal_parts returns: {(m, j): c}, nonzero c only."""
+    numerators, denominator = _principal_numerators(poly, r, v)
+    return {
+        (m, j): Fraction(c, denominator)
+        for j, cs in numerators.items()
+        for m, c in enumerate(cs, 1)
+        if c
+    }
 
 
 def generalized_harmonic(m: int, j: int) -> Fraction:

@@ -55,12 +55,9 @@ def clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
     return c[0] + y * b1 - b2
 
 
-def mc_integral(poly, r: int, v: int, z: float = 0.0, samples: int = 100_000, seed: int = 0):
+def mc_integral(poly, r: int, v: int, samples: int = 100_000, seed: int = 0):
     """verify.mc_integral's estimate, from one numpy pass over all samples."""
     poly = check_series_args(poly, r, v)
-    z = float(z)
-    if z < 0:
-        raise ValueError("z must be >= 0 (negative z moves poles into range)")
     if samples < 10**4:
         raise ValueError("samples must be >= 10**4")
     cheb = shifted_chebyshev(poly)
@@ -69,8 +66,6 @@ def mc_integral(poly, r: int, v: int, z: float = 0.0, samples: int = 100_000, se
     weight = 1.0 / (1.0 - prod)
     if v:
         weight = weight * (-np.log(prod)) ** v
-    if z > 0:
-        weight = weight * prod**z
     fx = weight * math.prod(clenshaw(cheb, column) for column in u.T)
     rows = max(1, verify._MC_BLOCK // r)
     blocks = [fx[lo : lo + rows] for lo in range(0, samples, rows)]

@@ -106,7 +106,7 @@ def test_criterion_4_integral_side_validation():
         for r in (2, 3):
             for v in range(3):
                 exact = eval_combination(decompose(poly, r, v), 25)
-                est = mc_integral(poly, r, v, 0.0, 10**6, seed=seed)
+                est = mc_integral(poly, r, v, 10**6, seed=seed)
                 with mpmath.workdps(30):
                     delta = abs(exact.value - mpmath.mpf(est.mean))
                     assert delta <= 4 * est.stderr, (

@@ -30,7 +30,6 @@ from zetalab import (
     rationality_criterion,
 )
 from zetalab import cli, decomp, verify
-from zetalab.decomp import _principal_parts
 from zetalab.verify import (
     _cauchy_bound,
     _chebyshev_increments,
@@ -110,17 +109,19 @@ def test_decompose_and_principal_parts_match_reference_on_legendre_grid(monkeypa
         for (n, r), upto in expected.items():
             poly = legendre_coeffs(n)
             for v, parts in enumerate(upto):
-                assert _principal_parts(poly, r, v) == parts, (n, r, v, general)
+                assert ref.library_principal_parts(poly, r, v) == parts, (n, r, v, general)
                 assert decompose(poly, r, v) == ref.collapse(parts, v), (n, r, v, general)
 
 
 def test_product_route_equals_the_general_route_past_the_reference_grid(monkeypatch):
     grid = [(n, r) for n in range(45, 151, 15) for r in (2, 3, 4)] + [(n, 5) for n in range(21)]
     cases = [(n, r, v) for n, r in grid for v in range(4)]
-    product = {(n, r, v): _principal_parts(legendre_coeffs(n), r, v) for n, r, v in cases}
+    product = {
+        (n, r, v): ref.library_principal_parts(legendre_coeffs(n), r, v) for n, r, v in cases
+    }
     _general_route_only(monkeypatch)
     for n, r, v in cases:
-        assert _principal_parts(legendre_coeffs(n), r, v) == product[n, r, v], (n, r, v)
+        assert ref.library_principal_parts(legendre_coeffs(n), r, v) == product[n, r, v], (n, r, v)
 
 
 def test_the_legendre_family_takes_the_product_route_and_near_misses_do_not(monkeypatch, capsys):
@@ -169,7 +170,7 @@ _rational = st.lists(
 def test_integer_kernels_match_reference_on_random_polys(coeffs, r, v):
     poly = Poly(coeffs)
     parts = ref.principal_parts(poly, r, v)
-    assert _principal_parts(poly, r, v) == parts
+    assert ref.library_principal_parts(poly, r, v) == parts
     assert decompose(poly, r, v) == ref.collapse(parts, v)
 
 
@@ -265,6 +266,12 @@ def test_euler_maclaurin_sum_matches_the_fraction_loop_on_random_integer_polys(c
     assert _euler_maclaurin_sum(*args) == ref.euler_maclaurin_sum(*args)
 
 
+def test_bernoulli_numbers_from_the_tangent_numbers_match_mpmath():
+    # B_2..B_200 in lowest terms, read off tables of 16, 32, 64 and 128 entries
+    evens = range(2, 201, 2)
+    assert [verify._bernoulli(n) for n in evens] == [mpmath.bernfrac(n) for n in evens]
+
+
 def test_direct_sum_encloses_the_exact_value_at_n_60():
     poly = legendre_coeffs(60)
     d = direct_sum_value(poly, 3, 2, Fraction(1, 10**30))
@@ -342,13 +349,13 @@ def test_writing_into_draws_does_not_change_later_draws():
     # and a caller may too, without touching the cached counters
     for shape in ((verify._MC_BLOCK,), (100, 3)):
         verify._draws(5, 1, shape).fill(0.25)
-        verify.mc_integral(legendre_coeffs(3), 2, 1, 0.0, 10**4, 5)
+        verify.mc_integral(legendre_coeffs(3), 2, 1, 10**4, 5)
         u = verify._draws(5, 1, shape)
         assert u.ravel().tolist() == mc_reference.stream_draws(5, 1, u.size)
 
 
 def test_mc_integral_in_four_threads_matches_one_thread():
-    cases = [(legendre_coeffs(n), r, v, 0.0, 30001, 11 * n + r) for n, r, v in ((2, 2, 0), (5, 3, 2))]
+    cases = [(legendre_coeffs(n), r, v, 30001, 11 * n + r) for n, r, v in ((2, 2, 0), (5, 3, 2))]
     expected = [verify.mc_integral(*args) for args in cases]
     # the threads also race to build the cached counters
     verify._block_counters.cache_clear()
@@ -405,7 +412,7 @@ def test_extreme_outputs_map_inside_the_open_interval():
 def test_mc_integral_with_underflowing_products_is_non_finite():
     # at r = 800 nearly every product of draws underflows to 0, where the
     # log power is infinite: the estimate reports it, without an error
-    est = verify.mc_integral(legendre_coeffs(0), 800, 1, 0.0, 10**4, 1)
+    est = verify.mc_integral(legendre_coeffs(0), 800, 1, 10**4, 1)
     assert not math.isfinite(est.mean)
 
 
@@ -456,17 +463,16 @@ def test_mc_integral_matches_reference_on_legendre_grid(n):
     poly = legendre_coeffs(n)
     for r in range(2, 7):
         for v in range(5):
-            for z in (0.0, 0.5, 1.0):
-                args = (poly, r, v, z, 10**4 + 1, n + r)
-                assert verify.mc_integral(*args) == mc_reference.mc_integral(*args), (r, v, z)
+            args = (poly, r, v, 10**4 + 1, n + r)
+            assert verify.mc_integral(*args) == mc_reference.mc_integral(*args), (r, v)
 
 
 @pytest.mark.parametrize("samples", [10**4 + 1, 70001, 131073])
 def test_mc_integral_matches_reference_off_the_block_and_chunk_sizes(samples):
     # the last block comes up short
-    for n, r, v, z in ((2, 2, 0, 0.0), (1, 2, 1, 0.0), (2, 3, 2, 0.0), (30, 5, 4, 1.0)):
-        args = (legendre_coeffs(n), r, v, z, samples, 3)
-        assert verify.mc_integral(*args) == mc_reference.mc_integral(*args), (n, r, v, z)
+    for n, r, v in ((2, 2, 0), (1, 2, 1), (2, 3, 2), (30, 5, 4)):
+        args = (legendre_coeffs(n), r, v, samples, 3)
+        assert verify.mc_integral(*args) == mc_reference.mc_integral(*args), (n, r, v)
 
 
 @settings(max_examples=40)
@@ -474,9 +480,8 @@ def test_mc_integral_matches_reference_off_the_block_and_chunk_sizes(samples):
     coeffs=st.one_of(_dense, _sparse).filter(any),
     r=st.integers(2, 5),
     v=st.integers(0, 4),
-    z=st.sampled_from([0.0, 0.5, 1.0, 2.5]),
     seed=st.integers(0, 2**64 - 1),
 )
-def test_mc_integral_matches_reference_on_random_integer_polys(coeffs, r, v, z, seed):
-    args = (Poly(coeffs), r, v, z, 10**4 + 1, seed)
+def test_mc_integral_matches_reference_on_random_integer_polys(coeffs, r, v, seed):
+    args = (Poly(coeffs), r, v, 10**4 + 1, seed)
     assert verify.mc_integral(*args) == mc_reference.mc_integral(*args)

@@ -1,7 +1,8 @@
 """Package-wide checks: every exported name resolves, so a stale export fails
 here and not in a user's import; no function rebinds a module's state; no
 code sets mpmath's process-wide precision; only the CLI sets Python's
-int<->str digit limit; and no code uses numpy.random."""
+int<->str digit limit; and no code uses numpy.random or mpmath's Bernoulli
+numbers."""
 
 import ast
 import importlib
@@ -27,9 +28,9 @@ def test_package_exports_each_modules_public_names():
         "DecompositionReport", "decomposition_report", "apery_report", "lcm_upto",
         "HighPrecisionValue", "zeta_value", "eval_combination", "CriterionRecord",
         "rationality_criterion", "direct_sum_value", "MCEstimate", "mc_integral",
-        "CrosscheckReport", "crosscheck", "shifted_series_value",
+        "CrosscheckReport", "crosscheck",
     }
-    assert len(zetalab.__all__) == 22
+    assert len(zetalab.__all__) == 21
 
 
 def test_no_function_rebinds_module_or_enclosing_state():
@@ -99,5 +100,20 @@ def test_no_code_uses_numpy_random():
             else:
                 named = False
             if named:
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_no_code_uses_mpmaths_bernoulli_numbers():
+    # the Euler-Maclaurin corrections take B_2j from the tangent numbers, in
+    # integers; mpmath's bernfrac stays the tests' oracle for them
+    names = {"bernfrac", "bernoulli", "mpf_bernoulli"}
+    found = []
+    for path in sorted(Path(zetalab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, ast.alias):
+                name = node.name
+            if name in names:
                 found.append(f"{path.name}:{node.lineno}")
     assert found == []

@@ -23,7 +23,6 @@ from zetalab import (
     eval_combination,
     legendre_coeffs,
     mc_integral,
-    shifted_series_value,
     zeta_value,
 )
 from zetalab import verify
@@ -318,15 +317,15 @@ def test_mc_known_values_4_sigma():
     ]
     with mpmath.workdps(20):
         for n, r, v, truth in cases:
-            est = mc_integral(legendre_coeffs(n), r, v, 0.0, 10**5, seed=42)
+            est = mc_integral(legendre_coeffs(n), r, v, 10**5, seed=42)
             assert abs(est.mean - float(truth())) <= 4 * est.stderr
 
 
 def test_mc_reproducible_bit_for_bit():
-    a = mc_integral(legendre_coeffs(1), 2, 1, 0.0, 10**5, seed=7)
-    b = mc_integral(legendre_coeffs(1), 2, 1, 0.0, 10**5, seed=7)
+    a = mc_integral(legendre_coeffs(1), 2, 1, 10**5, seed=7)
+    b = mc_integral(legendre_coeffs(1), 2, 1, 10**5, seed=7)
     assert a == b
-    c = mc_integral(legendre_coeffs(1), 2, 1, 0.0, 10**5, seed=8)
+    c = mc_integral(legendre_coeffs(1), 2, 1, 10**5, seed=8)
     assert c.mean != a.mean
 
 
@@ -352,7 +351,7 @@ def test_mc_counters_are_contiguous_and_a_shorter_run_is_a_prefix(monkeypatch):
     runs = []
     for samples in (10**4, 10**5):
         calls.clear()
-        mc_integral(legendre_coeffs(0), 2, 0, 0.0, samples, seed=3)
+        mc_integral(legendre_coeffs(0), 2, 0, samples, seed=3)
         runs.append(list(calls))
     short, long = runs
     rows = verify._MC_BLOCK // 2
@@ -370,7 +369,7 @@ def test_mc_blocks_hold_at_most_a_block_of_draws_at_any_r(monkeypatch, r):
     # any r; the blocks tile the counters
     calls = _record_draws(monkeypatch, copy=False)
     samples = 10**4 + 1
-    mc_integral(legendre_coeffs(0), r, 0, 0.0, samples, seed=1)
+    mc_integral(legendre_coeffs(0), r, 0, samples, seed=1)
     lo = 0
     for first, (m, width), _ in calls:
         assert width == r
@@ -381,7 +380,7 @@ def test_mc_blocks_hold_at_most_a_block_of_draws_at_any_r(monkeypatch, r):
 
 
 def test_mc_stderr_definition():
-    est = mc_integral(legendre_coeffs(0), 2, 0, 0.0, 10**4, seed=1)
+    est = mc_integral(legendre_coeffs(0), 2, 0, 10**4, seed=1)
     assert est.samples == 10**4
     assert est.stderr > 0
     assert est.rejected == 0
@@ -402,22 +401,11 @@ def test_mc_overflowed_estimate_reports_a_non_finite_stderr():
     assert not math.isfinite(huge.stderr)
 
 
-def test_mc_z_shift():
-    # z = 1 drops the k = 0 term: expect zeta(2) - 1
-    est = mc_integral(legendre_coeffs(0), 2, 0, 1.0, 10**5, seed=42)
-    with mpmath.workdps(20):
-        assert abs(est.mean - float(mpmath.zeta(2) - 1)) <= 4 * est.stderr
-
-
 def test_mc_validation(monkeypatch):
     with pytest.raises(ValueError):
-        mc_integral(legendre_coeffs(0), 1, 0, 0.0, 10**5, seed=1)
-    # NaN fails every comparison, so a plain z < 0 test would let it through
-    for z in (-0.5, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="z must be a finite number >= 0"):
-            mc_integral(legendre_coeffs(0), 2, 0, z, 10**5, seed=1)
+        mc_integral(legendre_coeffs(0), 1, 0, 10**5, seed=1)
     with pytest.raises(ValueError):
-        mc_integral(legendre_coeffs(0), 2, 0, 0.0, 999, seed=1)
+        mc_integral(legendre_coeffs(0), 2, 0, 999, seed=1)
     # samples * r counters must stay below 2**64; a run past that is
     # refused before any work, and the largest run allowed gets to work
     def no_work(poly):
@@ -426,10 +414,10 @@ def test_mc_validation(monkeypatch):
     monkeypatch.setattr(verify, "_shifted_chebyshev", no_work)
     for samples, r in ((2**63, 2), (2**64 // 3 + 1, 3)):
         with pytest.raises(ValueError):
-            mc_integral(legendre_coeffs(0), r, 0, 0.0, samples, seed=1)
+            mc_integral(legendre_coeffs(0), r, 0, samples, seed=1)
     for samples, r in ((2**63 - 1, 2), (2**64 // 3, 3)):
         with pytest.raises(AssertionError):
-            mc_integral(legendre_coeffs(0), r, 0, 0.0, samples, seed=1)
+            mc_integral(legendre_coeffs(0), r, 0, samples, seed=1)
 
 
 def test_shifted_chebyshev_clenshaw_matches_exact_values():
@@ -453,7 +441,7 @@ def test_shifted_chebyshev_clenshaw_matches_exact_values():
 @pytest.mark.parametrize("n", [30, 60])
 def test_mc_high_degree_legendre_mean_within_4_stderr_of_zero(n):
     # the true value is below 1e-40, far inside the sampling error
-    est = mc_integral(legendre_coeffs(n), 2, 1, 0.0, 10**5, seed=42)
+    est = mc_integral(legendre_coeffs(n), 2, 1, 10**5, seed=42)
     assert est.stderr < 1e-3
     assert abs(est.mean) <= 4 * est.stderr
 
@@ -554,28 +542,3 @@ def test_magnitude_digits_counts_the_integer_digits_to_within_one():
         digits = len(str(abs(x.numerator) // x.denominator))
         assert abs(verify._magnitude_digits(x) - digits) <= 1, x
 
-
-def test_shifted_series_value_encloses_the_shifted_zeta_series():
-    # sum_{k>=0} 1/(k+z+1)**2 = zeta(2) - H_z^(2), certified to the precision asked
-    with mpmath.workdps(80):
-        for z in (0, 1, 5):
-            sv = shifted_series_value(legendre_coeffs(0), 2, z, 40)
-            truth = mpmath.zeta(2) - sum(mpmath.mpf(1) / k**2 for k in range(1, z + 1))
-            assert sv.error_bound <= mpmath.mpf(10) ** -40
-            assert abs(sv.value - truth) <= sv.error_bound
-
-
-def test_generating_function_shift_invariant():
-    # integer z keeps the shifted series exact; compare with the sampled
-    # integrand carrying the (x1...xr)**z weight
-    for n in (0, 1):
-        for z in (1, 2):
-            sv = shifted_series_value(legendre_coeffs(n), 2, z, 25)
-            est = mc_integral(legendre_coeffs(n), 2, 0, float(z), 10**6, seed=11)
-            assert abs(float(sv.value) - est.mean) <= 4 * est.stderr
-
-
-def test_shifted_series_validation():
-    for z in (-1, 0.5, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="nonnegative integer"):
-            shifted_series_value(legendre_coeffs(0), 2, z, 20)
