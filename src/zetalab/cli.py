@@ -29,8 +29,6 @@ import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import mpmath
-
 from .cache import DecompositionCache
 from .decomp import decompose, decomposition_report, moment_from_coeffs
 from .polys import Poly, legendre_coeffs
@@ -144,21 +142,7 @@ def _cmd_scan(args) -> int:
     records = rationality_criterion(
         args.r, args.v, args.n_max, args.prec, progress, decomposer=_decomposer(args)
     )
-
-    def fmt(x):
-        return None if x is None else mpmath.nstr(x, args.prec)
-
-    rows = [
-        {
-            "n": rec.n,
-            "abs_c": fmt(rec.abs_c),
-            "lcm_pow": str(rec.lcm_pow),
-            "lcm_scaled": fmt(rec.lcm_scaled),
-            "exp_scaled": fmt(rec.exp_scaled),
-            "ratio_to_prev": fmt(rec.ratio_to_prev),
-        }
-        for rec in records
-    ]
+    rows = [rec.to_json_dict(args.prec) for rec in records]
     _emit(rows, args.format, rows)
     return 0
 

@@ -53,13 +53,19 @@ The counters fix every draw, and the blocks the samples are summed in
 depend only on r, so identical (samples, seed) always reproduce the same
 estimate bit for bit.
 
-Zeta values and their combinations run in mpf at the requested precision
-plus 10 guard digits (plus what the coefficients' size requires), and a
-budget term in the bound covers each rounding.  ``zeta_value``,
+Zeta values and their combinations run in binary floating point at the
+requested precision plus 10 guard digits (plus what the coefficients' size
+requires), and a budget term in the bound covers each rounding.  The
+arithmetic and the decimal output are ``_binfloat``'s: integer code on
+mpmath's raw (sign, man, exp, bc) tuples that returns, bit for bit, what
+``mpmath.libmp`` and ``mpmath.nstr`` return, so this module, and with it
+the CLI, never imports mpmath.  Only reading an mpf off a result
+(``HighPrecisionValue.value`` and ``.error_bound``, the numbers of a
+``CriterionRecord``) imports it, in ``_mpf``.  ``zeta_value``,
 ``eval_combination`` and ``rationality_criterion`` name the precision of
-every operation (``mpmath.libmp``), so they read and set no process-wide
-state and are safe to call from threads; ``zeta_value`` is a pure function
-of (j, precision), memoized on them.  The direct sum is rounded once,
+every operation, so they read and set no process-wide state and are safe
+to call from threads; ``zeta_value`` is a pure function of (j, precision),
+memoized on them.  The direct sum is rounded once,
 outward (``_outward``); ``crosscheck`` compares exact enclosures.
 """
 
@@ -69,28 +75,13 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Callable
 
-import mpmath
 import numpy as np
-from mpmath.libmp import (
-    dps_to_prec,
-    from_int,
-    from_rational,
-    fzero,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_exp,
-    mpf_gt,
-    mpf_mul,
-    mpf_mul_int,
-    mpf_pow_int,
-    to_rational,
-)
 
+from . import _binfloat as bf
 from .decomp import ZetaCombination, check_series_args, decompose, lcm_upto
 from .polys import Poly, legendre_coeffs
 
@@ -110,42 +101,78 @@ __all__ = [
 _MC_BLOCK = 1 << 14
 
 
-@dataclass(frozen=True)
+def _raw(x):
+    """The raw (sign, man, exp, bc) tuple of an mpf; a raw tuple or None passes through."""
+    return getattr(x, "_mpf_", x)
+
+
+def _set_fields(record, *values) -> None:
+    """Set the fields of a frozen dataclass instance, in order."""
+    for field, value in zip(fields(record), values, strict=True):
+        object.__setattr__(record, field.name, value)
+
+
+def _mpf(raw):
+    """A raw tuple as an mpmath mpf (None stays None): the package's one import of mpmath."""
+    if raw is None:
+        return None
+    import mpmath
+
+    return mpmath.mp.make_mpf(raw)
+
+
+@dataclass(frozen=True, init=False)
 class HighPrecisionValue:
     """A value with a certified absolute error bound (true value lies in
-    [value - error_bound, value + error_bound])."""
+    [value - error_bound, value + error_bound]).
 
-    value: object  # mpmath.mpf
-    error_bound: object  # mpmath.mpf, nonnegative
+    The value and the bound are kept as raw (sign, man, exp, bc) tuples;
+    reading .value or .error_bound gives an mpmath mpf, and imports mpmath
+    then.  The constructor takes mpfs or raw tuples.
+    """
+
+    _value: tuple
+    _error_bound: tuple  # nonnegative
     dps: int
+
+    def __init__(self, value, error_bound, dps: int):
+        _set_fields(self, _raw(value), _raw(error_bound), dps)
+
+    @property
+    def value(self):
+        return _mpf(self._value)
+
+    @property
+    def error_bound(self):
+        return _mpf(self._error_bound)
 
     def to_json_dict(self) -> dict:
         return {
-            "value": mpmath.nstr(self.value, self.dps),
-            "error_bound": mpmath.nstr(self.error_bound, 8),
+            "value": bf.nstr(self._value, self.dps),
+            "error_bound": bf.nstr(self._error_bound, 8),
         }
 
 
 def _from_fraction(x: Fraction, prec: int):
-    """x at prec bits, as a raw libmp value, rounded as mpf(p) / mpf(q) rounds
-    it: p and q, then the quotient."""
-    p = from_int(x.numerator, prec, "n")
-    q = from_int(x.denominator, prec, "n")
-    return mpf_div(p, q, prec, "n")
+    """x at prec bits, as a raw value, rounded as mpf(p) / mpf(q) rounds it:
+    p and q, then the quotient."""
+    p = bf.from_int(x.numerator, prec)
+    q = bf.from_int(x.denominator, prec)
+    return bf.div(p, q, prec)
 
 
 def _mpf_to_fraction(x) -> Fraction:
-    """The exact value of a finite mpf."""
-    return Fraction(*to_rational(x._mpf_))
+    """The exact value of a finite mpf or raw tuple."""
+    return Fraction(*bf.to_rational(_raw(x)))
 
 
 def _outward(mid: Fraction, rad: Fraction, dps: int) -> HighPrecisionValue:
     """mid +- rad at dps digits: the midpoint rounded to nearest once, the
     radius widened by that exact rounding error and then rounded up."""
-    prec = dps_to_prec(dps)
-    value = mpmath.mp.make_mpf(from_rational(mid.numerator, mid.denominator, prec, "n"))
+    prec = bf.dps_to_prec(dps)
+    value = bf.from_rational(mid.numerator, mid.denominator, prec, "n")
     rad += abs(mid - _mpf_to_fraction(value))
-    bound = mpmath.mp.make_mpf(from_rational(rad.numerator, rad.denominator, prec, "u"))
+    bound = bf.from_rational(rad.numerator, rad.denominator, prec, "u")
     return HighPrecisionValue(value=value, error_bound=bound, dps=dps)
 
 
@@ -226,17 +253,16 @@ def zeta_value(j: int, precision: int) -> HighPrecisionValue:
         raise ValueError("zeta_value requires j >= 2")
     _check_precision(precision)
     working = precision + 10
-    prec = dps_to_prec(working)
+    prec = bf.dps_to_prec(working)
     approx, trunc = _zeta_rational(j, working)
-    ten = from_int(10)
-    rounding = mpf_pow_int(ten, 2 - working, prec, "n")
-    err = mpmath.mp.make_mpf(mpf_add(_from_fraction(trunc, prec), rounding, prec, "n"))
-    if mpf_gt(err._mpf_, mpf_pow_int(ten, -precision, prec, "n")):
+    rounding = bf.pow_int(bf.TEN, 2 - working, prec)
+    err = bf.add(_from_fraction(trunc, prec), rounding, prec)
+    if bf.gt(err, bf.pow_int(bf.TEN, -precision, prec)):
         raise RuntimeError(
-            f"zeta({j}) error bound {mpmath.nstr(err, 5)} exceeds the "
+            f"zeta({j}) error bound {bf.nstr(err, 5)} exceeds the "
             f"requested 1e-{precision}"
         )
-    value = mpmath.mp.make_mpf(_from_fraction(approx, prec))
+    value = _from_fraction(approx, prec)
     return HighPrecisionValue(value=value, error_bound=err, dps=precision)
 
 
@@ -260,48 +286,83 @@ def eval_combination(combo: ZetaCombination, precision: int = 30) -> HighPrecisi
     mag = sum((abs(q) for _, q in combo.zeta), abs(combo.constant)) + 1
     boost = _magnitude_digits(mag) + 2
     working = precision + 10 + boost
-    prec = dps_to_prec(working)
+    prec = bf.dps_to_prec(working)
 
     def add(x, y):
-        return mpf_add(x, y, prec, "n")
+        return bf.add(x, y, prec)
 
     def mul(x, y):
-        return mpf_mul(x, y, prec, "n")
+        return bf.mul(x, y, prec)
 
-    eps = mpf_pow_int(from_int(10), 2 - working, prec, "n")
+    eps = bf.pow_int(bf.TEN, 2 - working, prec)
     total = _from_fraction(combo.constant, prec)
-    envelope = mpf_abs(total, prec, "n")
-    err = fzero
+    envelope = bf.abs_(total, prec)
+    err = bf.ZERO
     for j, q in combo.zeta:
         z = zeta_value(j, precision + boost)
-        value, bound = z.value._mpf_, z.error_bound._mpf_
+        value, bound = z._value, z._error_bound
         qv = _from_fraction(q, prec)
-        size = mpf_abs(qv, prec, "n")
+        size = bf.abs_(qv, prec)
         total = add(total, mul(qv, value))
-        envelope = add(envelope, mul(size, add(mpf_abs(value, prec, "n"), bound)))
+        envelope = add(envelope, mul(size, add(bf.abs_(value, prec), bound)))
         err = add(err, mul(size, bound))
-    budget = mpf_mul_int(eps, 4 * len(combo.zeta) + 6, prec, "n")
-    err = add(err, mul(budget, add(envelope, from_int(1))))
-    make = mpmath.mp.make_mpf
-    return HighPrecisionValue(value=make(total), error_bound=make(err), dps=precision)
+    budget = bf.mul_int(eps, 4 * len(combo.zeta) + 6, prec)
+    err = add(err, mul(budget, add(envelope, bf.ONE)))
+    return HighPrecisionValue(value=total, error_bound=err, dps=precision)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CriterionRecord:
     """Smallness data for one n: the quantities the criterion scans watch.
 
     abs_c is |c_v(n)| to the requested precision; lcm_scaled multiplies by
     lcm(1..n)**(r+v) (the exact integer is kept in lcm_pow); exp_scaled
     multiplies by e**((r+v)n).  ratio_to_prev is |c(n)/c(n-1)|, absent for
-    the first record.
+    the first record.  As in HighPrecisionValue, the four numbers are kept
+    as raw tuples and read as mpmath mpfs; the constructor takes either.
     """
 
     n: int
-    abs_c: object  # mpmath.mpf
+    _abs_c: tuple
     lcm_pow: int
-    lcm_scaled: object
-    exp_scaled: object
-    ratio_to_prev: object | None
+    _lcm_scaled: tuple
+    _exp_scaled: tuple
+    _ratio_to_prev: tuple | None
+
+    def __init__(self, n: int, abs_c, lcm_pow: int, lcm_scaled, exp_scaled, ratio_to_prev):
+        raws = _raw(abs_c), _raw(lcm_scaled), _raw(exp_scaled), _raw(ratio_to_prev)
+        _set_fields(self, n, raws[0], lcm_pow, *raws[1:])
+
+    @property
+    def abs_c(self):
+        return _mpf(self._abs_c)
+
+    @property
+    def lcm_scaled(self):
+        return _mpf(self._lcm_scaled)
+
+    @property
+    def exp_scaled(self):
+        return _mpf(self._exp_scaled)
+
+    @property
+    def ratio_to_prev(self):
+        return _mpf(self._ratio_to_prev)
+
+    def to_json_dict(self, dps: int) -> dict:
+        """The scan's row: the numbers at dps digits, lcm_pow in full, a missing ratio None."""
+
+        def digits(raw):
+            return None if raw is None else bf.nstr(raw, dps)
+
+        return {
+            "n": self.n,
+            "abs_c": digits(self._abs_c),
+            "lcm_pow": str(self.lcm_pow),
+            "lcm_scaled": digits(self._lcm_scaled),
+            "exp_scaled": digits(self._exp_scaled),
+            "ratio_to_prev": digits(self._ratio_to_prev),
+        }
 
 
 def rationality_criterion(
@@ -331,24 +392,23 @@ def rationality_criterion(
     records: list[CriterionRecord] = []
     prev_abs = None
     pole_power = r + v
-    prec = dps_to_prec(precision + 10)
-    make = mpmath.mp.make_mpf
+    prec = bf.dps_to_prec(precision + 10)
     for n in range(n_max + 1):
         combo = decomposer(legendre_coeffs(n), r, v)
-        abs_c = mpf_abs(eval_combination(combo, precision).value._mpf_, prec, "n")
+        abs_c = bf.abs_(eval_combination(combo, precision)._value, prec)
         lcm_pow = lcm_upto(n) ** pole_power
-        lcm_scaled = mpf_mul(from_int(lcm_pow, prec, "n"), abs_c, prec, "n")
-        exp_scaled = mpf_mul(mpf_exp(from_int(pole_power * n), prec, "n"), abs_c, prec, "n")
+        lcm_scaled = bf.mul(bf.from_int(lcm_pow, prec), abs_c, prec)
+        exp_scaled = bf.mul(bf.exp_int(pole_power * n, prec), abs_c, prec)
         ratio = None
-        if prev_abs is not None and mpf_gt(prev_abs, fzero):
-            ratio = make(mpf_div(abs_c, prev_abs, prec, "n"))
+        if prev_abs is not None and bf.gt(prev_abs, bf.ZERO):
+            ratio = bf.div(abs_c, prev_abs, prec)
         records.append(
             CriterionRecord(
                 n=n,
-                abs_c=make(abs_c),
+                abs_c=abs_c,
                 lcm_pow=lcm_pow,
-                lcm_scaled=make(lcm_scaled),
-                exp_scaled=make(exp_scaled),
+                lcm_scaled=lcm_scaled,
+                exp_scaled=exp_scaled,
                 ratio_to_prev=ratio,
             )
         )
@@ -855,7 +915,7 @@ class CrosscheckReport:
     def verified_digits(self) -> int:
         """Decimal digits the exact and direct enclosures certify together:
         the largest d with exact.error_bound + direct.error_bound <= 10**-d."""
-        total = _mpf_to_fraction(self.exact.error_bound) + _mpf_to_fraction(self.direct.error_bound)
+        total = _mpf_to_fraction(self.exact._error_bound) + _mpf_to_fraction(self.direct._error_bound)
         # the float logarithms are off by far less than one digit: start below, step up exactly
         d = math.floor(math.log10(total.denominator) - math.log10(total.numerator)) - 1
         while total <= Fraction(1, 10) ** (d + 1):
@@ -902,10 +962,10 @@ def crosscheck(
     exact = eval_combination(decompose(poly, r, v), precision)
     target = Fraction(1, 10**precision)
     direct, direct_K = _direct_sum(poly, r, v, target)
-    exact_value = _mpf_to_fraction(exact.value)
-    direct_bound = _mpf_to_fraction(direct.error_bound)
-    gap = abs(exact_value - _mpf_to_fraction(direct.value))
-    ok1 = direct_bound <= target and gap <= _mpf_to_fraction(exact.error_bound) + direct_bound
+    exact_value = _mpf_to_fraction(exact._value)
+    direct_bound = _mpf_to_fraction(direct._error_bound)
+    gap = abs(exact_value - _mpf_to_fraction(direct._value))
+    ok1 = direct_bound <= target and gap <= _mpf_to_fraction(exact._error_bound) + direct_bound
     # an estimate that overflowed float64 confirms nothing
     ok2 = math.isfinite(mc.mean) and math.isfinite(mc.stderr)
     ok2 = ok2 and abs(exact_value - Fraction(mc.mean)) <= 4 * Fraction(mc.stderr)

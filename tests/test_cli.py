@@ -8,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from zetalab import Poly, crosscheck, decompose, legendre_coeffs, moment_closed_form
+from zetalab import Poly, crosscheck, decompose, eval_combination, legendre_coeffs, moment_closed_form
 from zetalab.cache import DecompositionCache
 from zetalab.cli import _COMMANDS, _command_parser, _read_args, main
 
@@ -626,6 +627,43 @@ def test_cli_imports_no_lock_or_hash_module():
     code = "import sys, zetalab.cli; print(sorted({'fcntl', 'hashlib'} & set(sys.modules)))"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
+def test_cli_commands_run_without_mpmath(tmp_path: Path):
+    # the CLI computes and prints through zetalab._binfloat: a run of every
+    # command leaves mpmath unimported, and with mpmath unimportable (a None
+    # entry in sys.modules makes every import of it raise) prints the same
+    # bytes; the second run reads the first one's cache entry
+    runs = [*VALID_RUNS, ["value", "--n", "3", "--r", "3", "--v", "1", "--cache", str(tmp_path)]]
+    body = (
+        "import contextlib, io, sys\n"
+        "from zetalab.cli import main\n"
+        "out = io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    codes = [main(argv) for argv in {runs!r}]\n"
+        "print(codes, [m for m, mod in sys.modules.items() if 'mpmath' in m and mod is not None])\n"
+        "print(out.getvalue(), end='')\n"
+    )
+    plain, blocked = (
+        subprocess.run([sys.executable, "-c", prelude + body], capture_output=True, text=True)
+        for prelude in ("", "import sys\nsys.modules['mpmath'] = None\n")
+    )
+    assert plain.returncode == 0 and blocked.returncode == 0, (plain.stderr, blocked.stderr)
+    first, _, rest = plain.stdout.partition("\n")
+    assert first == f"{[0] * len(runs)} []"
+    assert rest.count("\n") >= len(runs)
+    assert blocked.stdout == plain.stdout
+
+
+def test_value_past_two_to_the_3500_prints_mpmaths_digits(capsys):
+    # R = 1 + 10**600 x puts the value near 6.4e1199, past 2**3500, where
+    # the formatter first divides by a power of ten found at low precision
+    assert main(["value", "--coeffs=1,1" + "0" * 600, "--r", "2", "--v", "0", "--prec", "30"]) == 0
+    hp = eval_combination(decompose(Poly([1, 10**600]), 2, 0), 30)
+    assert hp.value > mpmath.mpf(2) ** 3500
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["value"] == mpmath.nstr(hp.value, 30)
+    assert obj["error_bound"] == mpmath.nstr(hp.error_bound, 8)
 
 
 def test_results_wider_than_4300_digits_print_and_round_trip_the_cache(tmp_path: Path):
