@@ -9,7 +9,8 @@ exactly what it did through mpmath while the CLI never imports it.  Rounding mod
 nearest, ties to even; "d" toward zero; "u" away from zero.
 
 * mul, div, from_int, from_rational, abs_ and mul_int: libmp rounds each
-  exact result once, so one function does all of them (_round).  add
+  exact result once, so one function does all of them (_round); abs_
+  skips it for an operand of at most prec bits, which it would not change.  add
   rounds the exact sum too, except for far-apart operands, where libmp
   rounds the larger one nudged by one unit past the precision.
 * pow_int: exact, or libmp's binary powering with directed rounding at a
@@ -81,6 +82,8 @@ def to_rational(s) -> tuple[int, int]:
 
 
 def abs_(s, prec: int, rnd: str = "n"):
+    if s[3] <= prec or not prec:
+        return (0, s[1], s[2], s[3]) if s[0] else s
     return _round(0, s[1], s[2], prec, rnd)
 
 

@@ -151,13 +151,17 @@ class ZetaCombination:
     def make(cls, zeta: Mapping[int, Fraction], constant=0) -> "ZetaCombination":
         items = []
         for j in sorted(zeta):
-            q = Fraction(zeta[j])
+            q = zeta[j]
+            if type(q) is not Fraction:
+                q = Fraction(q)
             if q == 0:
                 continue
             if j < 2:
                 raise ValueError("zeta indices must be >= 2")
             items.append((j, q))
-        return cls(zeta=tuple(items), constant=Fraction(constant))
+        if type(constant) is not Fraction:
+            constant = Fraction(constant)
+        return cls(zeta=tuple(items), constant=constant)
 
     def as_dict(self) -> dict[int, Fraction]:
         return dict(self.zeta)
@@ -425,11 +429,9 @@ def decomposition_report(
     if combo is None:
         combo = decompose(poly, r, v)
     d = combo.common_denominator()
-    cleared = [q * d for _, q in combo.zeta] + [combo.constant * d]
-    g = 0
-    for x in cleared:
-        g = math.gcd(g, x.numerator)
-    if math.gcd(g, d) != 1 and any(x != 0 for x in cleared):
+    cleared = [q.numerator * (d // q.denominator) for _, q in combo.zeta]
+    cleared.append(combo.constant.numerator * (d // combo.constant.denominator))
+    if math.gcd(*cleared, d) != 1 and any(cleared):
         raise RuntimeError(
             "internal invariant violation: cleared coefficients share a factor "
             "with the minimal denominator"
@@ -438,16 +440,9 @@ def decomposition_report(
     a = b = gg = None
     mismatch = False
     if (r, v) == (3, 2):
-        a = combo.coeff(4) * d / 90
-        b_frac = combo.coeff(5) * d
-        g_frac = combo.constant * d
-        if b_frac.denominator != 1 or g_frac.denominator != 1:
-            raise RuntimeError(
-                "internal invariant violation: D does not clear the zeta(5) "
-                "coefficient and the constant"
-            )
-        b, gg = b_frac.numerator, g_frac.numerator
-        mismatch = any(j not in (4, 5) for j, _ in combo.zeta)
+        at = dict(zip((j for j, _ in combo.zeta), cleared))
+        a, b, gg = Fraction(at.get(4, 0), 90), at.get(5, 0), cleared[-1]
+        mismatch = any(j not in (4, 5) for j in at)
     return DecompositionReport(
         n=n,
         r=r,
@@ -457,8 +452,8 @@ def decomposition_report(
         A=a,
         B=b,
         G=gg,
-        divides_lcm_n=lcm_upto(n) ** pole_power % d == 0,
-        divides_lcm_n1=lcm_upto(n + 1) ** pole_power % d == 0,
+        divides_lcm_n=pow(lcm_upto(n), pole_power, d) == 0,
+        divides_lcm_n1=pow(lcm_upto(n + 1), pole_power, d) == 0,
         structure_mismatch=mismatch,
     )
 

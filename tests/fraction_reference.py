@@ -17,6 +17,9 @@ by induction N_v shares no root with Q.
 in the ``{(m, j): c}`` form of ``principal_parts``, so the two compare with
 ``==``.
 
+``report_fields`` clears a combination's coefficients as one ``Fraction``
+product each; the library's report clears them in integers.
+
 ``shifted_chebyshev`` is the Monte Carlo oracle's conversion to the
 Chebyshev basis shifted to [0, 1] by Horner's rule, one ``Fraction`` step
 per coefficient and term; the library reads the same rationals off a
@@ -149,6 +152,26 @@ def collapse(parts: dict[tuple[int, int], Fraction], v: int) -> ZetaCombination:
             zeta[j] = zeta.get(j, Fraction(0)) + c
             constant -= c * _harmonic(m - 1, j)
     return ZetaCombination.make({j: sign * q for j, q in zeta.items()}, sign * constant)
+
+
+def report_fields(combo: ZetaCombination, n: int, r: int, v: int) -> dict:
+    """decomposition_report's cleared view, one Fraction product per coefficient:
+    D, A, B, G, both lcm divisibility flags and structure_mismatch."""
+    d = combo.common_denominator()
+    cleared = [q * d for _, q in combo.zeta] + [combo.constant * d]
+    g = 0
+    for x in cleared:
+        g = math.gcd(g, x.numerator)
+    assert math.gcd(g, d) == 1 or all(x == 0 for x in cleared)
+    out = {"D": d, "A": None, "B": None, "G": None, "structure_mismatch": False}
+    if (r, v) == (3, 2):
+        b, gg = combo.coeff(5) * d, combo.constant * d
+        assert b.denominator == gg.denominator == 1
+        out.update(A=combo.coeff(4) * d / 90, B=b.numerator, G=gg.numerator)
+        out["structure_mismatch"] = any(j not in (4, 5) for j, _ in combo.zeta)
+    out["divides_lcm_n"] = lcm_upto(n) ** (r + v) % d == 0
+    out["divides_lcm_n1"] = lcm_upto(n + 1) ** (r + v) % d == 0
+    return out
 
 
 def linear_product(shifts) -> Poly:

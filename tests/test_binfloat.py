@@ -39,6 +39,9 @@ ONES_300 = libmp.from_man_exp(2**300 - 1, 200)  # wider than prec: libmp's add n
 @example(s=libmp.from_man_exp(2**39 + 2**29 - 1, 200), t=libmp.from_man_exp(2**120 + 1, 90), prec=10, rnd="n")
 @example(s=libmp.from_int(5), t=libmp.from_int(-5), prec=10, rnd="n")
 @example(s=libmp.from_int(-5), t=libmp.from_int(-7), prec=10, rnd="n")
+# abs_ returns an operand of at most prec bits unrounded, and rounds a wider one
+@example(s=libmp.from_int(-7), t=libmp.from_int(1), prec=3, rnd="u")
+@example(s=libmp.from_int(-7), t=libmp.from_int(1), prec=2, rnd="u")
 def test_arithmetic_returns_libmps_tuples(s, t, prec, rnd):
     assert bf.add(s, t, prec, rnd) == libmp.mpf_add(s, t, prec, rnd)
     assert bf.mul(s, t, prec, rnd) == libmp.mpf_mul(s, t, prec, rnd)

@@ -1,3 +1,4 @@
+import json
 import os
 import stat
 import subprocess
@@ -183,3 +184,79 @@ assert sys.get_int_max_str_digits() == 4300
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
     )
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-1000:]
+
+
+# the FORMAT-2 entry of --coeffs=3,-1,4 --r 3 --v 2, as the cache has written it
+# since format 2 began: a new writer must keep the name and the bytes
+PINNED_NAME = "d07de070ecbc0ed4.json"
+PINNED_BYTES = (
+    b'{"combo": {"constant": "-9db/4", "zeta": {"4": "24/1", "5": "438/1"}}, '
+    b'"key": {"coeffs": ["3/1", "-1/1", "4/1"], "format": 2, "r": 3, "v": 2}}\n'
+)
+
+
+def test_format_2_entries_keep_their_file_name_and_bytes(tmp_path: Path, capsys):
+    from zetalab.cli import main
+
+    poly = Poly([3, -1, 4])
+    DecompositionCache(tmp_path / "lib").put(poly, 3, 2, decompose(poly, 3, 2))
+    assert main(["decompose", "--coeffs=3,-1,4", "--r", "3", "--v", "2", "--cache", str(tmp_path / "cli")]) == 0
+    for d in ("lib", "cli"):
+        (entry,) = (tmp_path / d).iterdir()
+        assert entry.name == PINNED_NAME and entry.read_bytes() == PINNED_BYTES
+    # and bytes written by an earlier version read back as a hit
+    (tmp_path / "old").mkdir()
+    (tmp_path / "old" / PINNED_NAME).write_bytes(PINNED_BYTES)
+    assert DecompositionCache(tmp_path / "old").get(poly, 3, 2) == decompose(poly, 3, 2)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "constant",
+    # each one parses with int(., 16) or as a Fraction, but none is what _hex writes
+    [" 1_f /3", "0x1f/3", "1F/3", "+1f/3", "2/4", "١/3", "-0/1", "1/-3", "1", "1/3/5"],
+)
+def test_a_rational_that_hex_would_not_write_is_a_miss(tmp_path: Path, capsys, constant):
+    poly = Poly([3, -1, 4])
+    (tmp_path / PINNED_NAME).write_bytes(PINNED_BYTES.replace(b'"-9db/4"', json.dumps(constant).encode()))
+    assert DecompositionCache(tmp_path).get(poly, 3, 2) is None
+    assert capsys.readouterr().err.count("skipping unparsable cache entry") == 1
+
+
+@pytest.mark.parametrize(
+    "zeta",
+    # int() reads each index as 5, but put only writes str(5); a duplicate
+    # would otherwise overwrite the true coefficient without a warning
+    [b'"05": "438/1"', b'" 5": "438/1"', b'"+5": "438/1"', b'"\\u0665": "438/1"', b'"5": "438/1", "05": "1/1"'],
+)
+def test_a_zeta_index_that_put_would_not_write_is_a_miss(tmp_path: Path, capsys, zeta):
+    poly = Poly([3, -1, 4])
+    (tmp_path / PINNED_NAME).write_bytes(PINNED_BYTES.replace(b'"5": "438/1"', zeta))
+    assert DecompositionCache(tmp_path).get(poly, 3, 2) is None
+    assert capsys.readouterr().err.count("skipping unparsable cache entry") == 1
+
+
+def test_get_on_a_missing_directory_is_a_miss_that_makes_nothing(tmp_path: Path):
+    poly = legendre_coeffs(1)
+    assert DecompositionCache(tmp_path / "a" / "b").get(poly, 2, 0) is None
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_put_makes_the_directory_and_its_parents(tmp_path: Path):
+    poly = legendre_coeffs(1)
+    combo = decompose(poly, 2, 0)
+    DecompositionCache(tmp_path / "a" / "b").put(poly, 2, 0, combo)
+    assert [f.suffix for f in (tmp_path / "a" / "b").iterdir()] == [".json"]
+    assert DecompositionCache(str(tmp_path / "a" / "b")).get(poly, 2, 0) == combo
+
+
+def test_a_regular_file_at_the_directory_raises_oserror(tmp_path: Path):
+    poly = legendre_coeffs(1)
+    path = tmp_path / "c"
+    path.write_text("not a directory\n")
+    cache = DecompositionCache(path)
+    with pytest.raises(OSError):
+        cache.get(poly, 2, 0)
+    with pytest.raises(OSError):
+        cache.put(poly, 2, 0, decompose(poly, 2, 0))
+    assert path.read_text() == "not a directory\n" and list(tmp_path.iterdir()) == [path]

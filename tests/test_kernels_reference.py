@@ -15,7 +15,7 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import fraction_reference as ref
 import mc_reference
@@ -172,6 +172,22 @@ def test_integer_kernels_match_reference_on_random_polys(coeffs, r, v):
     parts = ref.principal_parts(poly, r, v)
     assert ref.library_principal_parts(poly, r, v) == parts
     assert decompose(poly, r, v) == ref.collapse(parts, v)
+
+
+@settings(max_examples=60)
+@given(
+    coeffs=st.lists(st.integers(-9, 9), min_size=1, max_size=9).filter(any),
+    rv=st.one_of(st.just((3, 2)), st.tuples(st.integers(2, 4), st.integers(0, 3))),
+)
+@example(coeffs=[3, -1, 4], rv=(3, 2))
+@example(coeffs=[1], rv=(3, 2))
+def test_report_clears_in_integers_what_fractions_clear(coeffs, rv):
+    r, v = rv
+    poly = Poly(coeffs)
+    rep = decomp.decomposition_report(poly, r, v)
+    fields = {k: getattr(rep, k) for k in ref.report_fields(rep.combo, rep.n, r, v)}
+    assert fields == ref.report_fields(rep.combo, rep.n, r, v)
+    assert type(rep.D) is int and (rep.B is None or type(rep.B) is type(rep.G) is int)
 
 
 @settings(max_examples=60)
