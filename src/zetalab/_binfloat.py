@@ -2,10 +2,12 @@
 
 A raw value is (-1)**sign * man * 2**exp, with man odd (or the zero
 (0, 0, 0, 0)) and bc = man.bit_length(): the tuples of ``mpmath.libmp``.
-Every function here returns the tuple that its libmp counterpart (add for
-mpf_add, pow_int for mpf_pow_int, and so on) returns for the same arguments
-(mpmath 1.3, pure-Python backend), so the numeric layer computes and prints
-exactly what it did through mpmath while the CLI never imports it.  Rounding modes are libmp's: "n" to
+Every function here but exp_int returns the tuple that its libmp
+counterpart (add for mpf_add, pow_int for mpf_pow_int, and so on) returns
+for the same arguments (mpmath 1.3), so the numeric layer computes and
+prints what it did through mpmath while the CLI never imports it.  exp_int
+is correctly rounded, which libmp's mpf_exp is not everywhere; wherever it
+is, the two return the same tuple.  Rounding modes are libmp's: "n" to
 nearest, ties to even; "d" toward zero; "u" away from zero.
 
 * mul, div, from_int, from_rational, abs_ and mul_int: libmp rounds each
@@ -16,9 +18,10 @@ nearest, ties to even; "d" toward zero; "u" away from zero.
 * pow_int: exact, or libmp's binary powering with directed rounding at a
   raised working precision once bc * n >= 1000; a negative power is the
   reciprocal of the positive power rounded at prec + 5 bits.
-* exp_int: libmp's mpf_exp at an integer, step by step.  Its fixed-point
-  constants ln 2, ln 10 and e are floor(c * 2**prec), which is what
-  libmp's memoized constants give.
+* exp_int: e**k for an integer k, correctly rounded to nearest by Ziv's
+  test on two outward-rounded powers of the fixed-point e.  The fixed-point
+  constants ln 2, ln 10 (for nstr) and e are floor(c * 2**prec), which is
+  what libmp's memoized constants give.
 * nstr: mpmath.nstr(x, dps) with its default options: the digits truncated
   toward zero, rounded half up on the digit after dps, in fixed notation
   when the leading digit's exponent lies strictly between
@@ -119,8 +122,6 @@ def div(s, t, prec: int, rnd: str = "n"):
     tsign, tman, texp, tbc = t
     if not tman:
         raise ZeroDivisionError
-    if not sman:
-        return ZERO
     sign = ssign ^ tsign
     if tman == 1:
         return _round(sign, sman, sexp - texp, prec, rnd)
@@ -160,8 +161,6 @@ _RECIPROCAL_RND = {"n": "n", "d": "u", "u": "d"}
 def pow_int(s, n: int, prec: int, rnd: str = "n"):
     """s**n for an integer n."""
     sign, man, exp, bc = s
-    if n == 0:
-        return ONE
     if n == 1:
         return _round(sign, man, exp, prec, rnd)
     if n == 2:
@@ -269,110 +268,25 @@ def _constant(fixed, prec: int):
     return _round(0, fixed(wp), -wp, prec, "d")
 
 
-def _isqrt_fast(x: int) -> int:
-    """libmp's isqrt_fast_python: floor(sqrt(x)), or now and then one less."""
-    if x < 1 << 800:
-        y = int(x**0.5)
-        if x >= 1 << 100:
-            y = (y + x // y) >> 1
-            if x >= 1 << 200:
-                y = (y + x // y) >> 1
-                if x >= 1 << 400:
-                    y = (y + x // y) >> 1
-        return y
-    guard_bits = 10
-    x <<= 2 * guard_bits
-    bc = x.bit_length()
-    bc += bc & 1
-    hbc = bc // 2
-    startprec = min(50, hbc)
-    # Newton's iteration for 1/sqrt(x) from a float start, over libmp's giant steps
-    r = int(2.0 ** (2 * startprec) * (x >> (bc - 2 * startprec)) ** -0.5)
-    steps = [hbc]
-    while steps[-1] > 2 * startprec:
-        steps.append(steps[-1] // 2 + 2)
-    pp = startprec
-    for p in reversed(steps):
-        r2 = (r * r) >> (2 * pp - p)
-        xr2 = ((x >> (bc - p)) * r2) >> p
-        r = (r * ((3 << p) - xr2)) >> (pp + 1)
-        pp = p
-    return (r * (x >> hbc)) >> (p + guard_bits)
-
-
-def _exp_series(x: int, prec: int) -> int:
-    """exp(x / 2**prec) * 2**prec by libmp's exponential_series (type 0,
-    prec < 1500): cosh from its series, sinh from cosh by a square root."""
-    sign = x < 0
-    x = abs(x)
-    r = int(0.5 * prec**0.5)
-    xmag = x.bit_length() - prec
-    r = max(0, xmag + r)
-    extra = 10 + 2 * max(r, -xmag)
-    wp = prec + extra
-    x <<= extra - r
-    one = 1 << wp
-    x2 = a = (x * x) >> wp
-    x4 = (x2 * x2) >> wp
-    s0 = s1 = 0
-    k = 2
-    while a:
-        a //= (k - 1) * k
-        s0 += a
-        k += 2
-        a //= (k - 1) * k
-        s1 += a
-        k += 2
-        a = (a * x4) >> wp
-    c = ((x2 * s1) >> wp) + s0 + one
-    s = _isqrt_fast(c * c - (one << wp))
-    v = c - s if sign else c + s
-    for _ in range(r):
-        v = (v * v) >> wp
-    return v >> extra
-
-
-def _exp_fixed(x: int, prec: int) -> int:
-    """exp(x / 2**prec) * 2**prec, as libmp's exp_basecase computes it."""
-    if prec > 600:  # libmp's EXP_COSH_CUTOFF on the pure-Python backend
-        return _exp_series(x, prec)
-    r = int(prec**0.5)
-    prec += r
-    s0 = s1 = 1 << prec
-    k = 2
-    a = x2 = (x * x) >> prec
-    while a:
-        a //= k
-        s0 += a
-        k += 1
-        a //= k
-        s1 += a
-        k += 1
-        a = (a * x2) >> prec
-    s = s0 + ((s1 * x) >> prec)
-    for _ in range(r):
-        s = (s * s) >> prec
-    return s >> r
-
-
 def exp_int(k: int, prec: int):
-    """e**k for an integer k, to nearest: libmp's mpf_exp(from_int(k), prec)."""
-    if not k:
-        return ONE
-    _, man, exp, bc = from_int(k)
-    mag = bc + exp
-    wp = prec + 14
-    if prec > 600:
-        e = _constant(_e_fixed, wp + int(1.45 * mag))
-        return pow_int(e, k, prec)
-    if mag > 1:
-        # k = n ln 2 + t with 0 <= t < ln 2, in fixed point at wp + mag bits
-        wpmod = wp + mag
-        n, t = divmod(k << wpmod, _ln2_fixed(wpmod))
-        t >>= mag
-    else:
-        n, t = 0, k << wp
-    return _round(0, _exp_fixed(t, wp), n - wp, prec)
+    """e**k for an integer k, correctly rounded to nearest.
+
+    Ziv's rounding test: floor(e * 2**wp) and one unit more enclose e, and
+    their k-th powers, rounded outward, enclose e**k.  Once both ends round
+    to the same prec bits, so does e**k; until then wp doubles.  e**k is
+    irrational for k != 0, so it never ties and the loop ends."""
+    wp = prec + 2 * abs(k).bit_length() + 20
+    while True:
+        e = _e_fixed(wp)
+        below, above = _round(0, e, -wp, 0), _round(0, e + 1, -wp, 0)
+        if k < 0:  # e**k falls as e grows
+            below, above = above, below
+        low = pow_int(below, k, wp, "d")
+        high = pow_int(above, k, wp, "u")
+        nearest = _round(0, low[1], low[2], prec)
+        if nearest == _round(0, high[1], high[2], prec):
+            return nearest
+        wp *= 2
 
 
 # -- decimal output ----------------------------------------------------------

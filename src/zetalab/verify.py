@@ -58,8 +58,9 @@ requested precision plus 10 guard digits (plus what the coefficients' size
 requires), and a budget term in the bound covers each rounding.  The
 arithmetic and the decimal output are ``_binfloat``'s: integer code on
 mpmath's raw (sign, man, exp, bc) tuples that returns, bit for bit, what
-``mpmath.libmp`` and ``mpmath.nstr`` return, so this module, and with it
-the CLI, never imports mpmath.  Only reading an mpf off a result
+``mpmath.libmp`` and ``mpmath.nstr`` return (e**k is correctly rounded,
+and libmp's tuple wherever libmp rounds it correctly), so this module, and
+with it the CLI, never imports mpmath.  Only reading an mpf off a result
 (``HighPrecisionValue.value`` and ``.error_bound``, the numbers of a
 ``CriterionRecord``) imports it, in ``_mpf``.  ``zeta_value``,
 ``eval_combination`` and ``rationality_criterion`` name the precision of
@@ -894,7 +895,11 @@ class CrosscheckReport:
     """Agreement report for the three computation paths on one case.
 
     direct_K is the number of series terms the direct path summed exactly
-    before its Euler-Maclaurin tail.
+    before its Euler-Maclaurin tail.  mc_variance_finite is False when the
+    integrand's square has an infinite integral, so the MC stderr means
+    nothing; mc_resolves_value is False when the MC stderr is not below
+    |exact|, so the MC leg cannot tell the value from zero.  Neither
+    enters `passed`.
     """
 
     r: int
@@ -906,10 +911,16 @@ class CrosscheckReport:
     mc: MCEstimate
     exact_vs_direct_ok: bool
     exact_vs_mc_ok: bool
+    mc_variance_finite: bool = True
 
     @property
     def passed(self) -> bool:
         return self.exact_vs_direct_ok and self.exact_vs_mc_ok
+
+    @property
+    def mc_resolves_value(self) -> bool:
+        stderr = self.mc.stderr
+        return math.isfinite(stderr) and Fraction(stderr) < abs(_mpf_to_fraction(self.exact._value))
 
     @property
     def verified_digits(self) -> int:
@@ -934,6 +945,8 @@ class CrosscheckReport:
             "mc": self.mc.to_json_dict(),
             "exact_vs_direct_ok": self.exact_vs_direct_ok,
             "exact_vs_mc_ok": self.exact_vs_mc_ok,
+            "mc_resolves_value": self.mc_resolves_value,
+            "mc_variance_finite": self.mc_variance_finite,
             "passed": self.passed,
         }
 
@@ -969,6 +982,9 @@ def crosscheck(
     # an estimate that overflowed float64 confirms nothing
     ok2 = math.isfinite(mc.mean) and math.isfinite(mc.stderr)
     ok2 = ok2 and abs(exact_value - Fraction(mc.mean)) <= 4 * Fraction(mc.stderr)
+    # near the corner x = (1, ..., 1), with u_i = 1 - x_i, f**2 grows like
+    # R(1)**(2r) * (u_1 + ... + u_r)**(2v - 2): integrable iff r + 2v > 2
+    variance_finite = r + 2 * v > 2 or not sum(poly.coeffs)
     return CrosscheckReport(
         r=r,
         v=v,
@@ -979,5 +995,6 @@ def crosscheck(
         mc=mc,
         exact_vs_direct_ok=ok1,
         exact_vs_mc_ok=ok2,
+        mc_variance_finite=variance_finite,
     )
 

@@ -1,6 +1,6 @@
 """zetalab._binfloat against mpmath.libmp, the oracle it stands in for: every
-primitive returns libmp's raw (sign, man, exp, bc) tuple, and nstr returns
-mpmath.nstr's text."""
+primitive returns libmp's raw (sign, man, exp, bc) tuple, exp_int the
+correctly rounded e**k that libmp encloses, and nstr mpmath.nstr's text."""
 
 import mpmath
 from hypothesis import example, given, settings, strategies as st
@@ -80,6 +80,8 @@ def test_integer_conversions_return_libmps_tuples(s, n, q, prec, rnd):
 @example(s=libmp.from_int(2**300 + 1), n=7, prec=40, rnd="u")  # a loop rounding down loses the excess
 @example(s=ONES_300, n=7, prec=40, rnd="d")  # and one rounding up reaches the power of two
 @example(s=libmp.from_int(-862683481517999783), n=-1, prec=20, rnd="n")  # 1/s, rounded once
+@example(s=libmp.from_int(-3), n=0, prec=10, rnd="u")  # s**0 is one, from the general path
+@example(s=libmp.fzero, n=0, prec=10, rnd="d")
 def test_integer_powers_return_libmps_tuples(s, n, prec, rnd):
     if not s[1] and n < 0:
         return
@@ -94,16 +96,23 @@ def test_dps_to_prec_and_the_constants_match_libmp():
         assert bf._e_fixed(prec) == libelefun.e_fixed(prec), prec
 
 
-def test_exp_matches_libmp_at_every_k_of_the_scans():
+def test_exp_is_correctly_rounded_at_every_k_of_the_scans():
     # the scan multiplies |c(n)| by e**((r+v) n) at dps_to_prec(precision + 10)
-    # bits; beside the precisions the CLI and the benchmark use, libmp's two
-    # other routes: powers of e past 600 bits, and from 587 to 600 bits a
-    # cosh series that only the pure-Python backend takes (gmpy's from 387)
+    # bits; beside the precisions the CLI and the benchmark use, the routes
+    # libmp's mpf_exp switches between: a cosh series from 587 to 600 bits
+    # and powers of e past 600.  libmp's e**k rounded down and up at 300 more
+    # bits enclose e**k, so where both round to the same nearest prec-bit
+    # value, that value is e**k correctly rounded.  Where libmp's own
+    # rounding to nearest is correct, it is this same tuple.
     scans = {bf.dps_to_prec(p + 10) for p in (10, 15, 20, 30, 50, 100)}
-    series = {587, 593, 600} if libmp.BACKEND == "python" else set()
-    for prec in sorted(scans | series | {601, 700}):
+    for prec in sorted(scans | {587, 593, 600, 601, 700, 1000, 2000}):
         for k in range(-5, 3001):
-            assert bf.exp_int(k, prec) == libmp.mpf_exp(libmp.from_int(k), prec, "n"), (k, prec)
+            x = libmp.from_int(k)
+            low = libmp.mpf_exp(x, prec + 300, "d")
+            high = libmp.mpf_exp(x, prec + 300, "u")
+            nearest = libmp.mpf_pos(low, prec, "n")
+            assert nearest == libmp.mpf_pos(high, prec, "n"), (k, prec)
+            assert bf.exp_int(k, prec) == nearest, (k, prec)
 
 
 def _nstr(raw, dps):

@@ -174,6 +174,25 @@ def test_verify_certifies_the_requested_precision(prec, capsys):
     assert obj["direct_K"] >= 1
 
 
+@pytest.mark.parametrize(
+    "args,resolves,finite",
+    [
+        (["--n", "2", "--r", "3", "--v", "2"], False, True),  # |c| 3.9e-5, stderr 1.1e-2
+        (["--n", "2", "--r", "2", "--v", "0"], True, False),  # E[f**2] diverges at the corner
+        (["--n", "1", "--r", "2", "--v", "1"], True, True),
+        (["--coeffs=1,-1", "--r", "2", "--v", "0"], True, True),  # R(1) = 0
+    ],
+)
+def test_verify_reports_what_the_monte_carlo_leg_can_show(args, resolves, finite, capsys):
+    # the two flags inform; passed and the exit code stay the crosscheck's
+    assert main(["verify", *args, "--prec", "20"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert obj["mc"]["samples"] == 100000
+    assert obj["mc_resolves_value"] is resolves
+    assert obj["mc_variance_finite"] is finite
+    assert obj["passed"] is True
+
+
 def test_verify_same_stdout_under_python_O():
     args = ["verify", "--n", "1", "--r", "2", "--v", "1", "--prec", "30",
             "--samples", "20000", "--seed", "3"]

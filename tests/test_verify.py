@@ -533,6 +533,32 @@ def test_crosscheck_reports_an_overflowed_monte_carlo_estimate_as_unconfirmed(mo
         rep = crosscheck(legendre_coeffs(1), 2, 1, precision=30, samples=10**4, seed=1)
         assert rep.exact_vs_direct_ok
         assert not rep.exact_vs_mc_ok
+        assert rep.mc_resolves_value is (stderr == 0.0)
+
+
+@pytest.mark.parametrize(
+    "coeffs,r,v,finite",
+    [
+        ([1, -2], 2, 0, False),  # R(1) = -1
+        ([1, -1], 2, 0, True),  # R(1) = 0
+        ([1, -2, 1], 2, 0, True),  # (1 - x)**2, a double zero at 1
+        ([1, -2], 2, 1, True),
+        ([1, -2], 3, 0, True),
+    ],
+)
+def test_crosscheck_flags_an_infinite_monte_carlo_variance(coeffs, r, v, finite):
+    # f**2 ~ R(1)**(2r) (sum of the u_i)**(2v - 2) near the corner u = 0 of
+    # the cube: integrable iff r + 2v > 2 or R(1) = 0
+    rep = crosscheck(Poly(coeffs), r, v, precision=20, samples=10**4, seed=1)
+    assert rep.mc_variance_finite is finite
+
+
+def test_a_positional_report_keeps_its_fields_and_reads_both_mc_flags():
+    rep = _report_with_bounds(mpmath.mpf(1), mpmath.mpf(1))
+    # the exact value 0 is below any stderr; the variance flag defaults to finite
+    assert rep.mc_resolves_value is False
+    assert rep.mc_variance_finite is True
+    assert rep.passed is True
 
 
 def test_magnitude_digits_counts_the_integer_digits_to_within_one():
