@@ -21,7 +21,8 @@ has two routes behind the one entry point ``_principal_numerators``:
 * the shifted Legendre family (integer coefficients exactly
   (-1)**l C(n,l) C(n+l,l)) reads it off the product form of its moment,
   whose logarithm at each pole is a few differences of generalized
-  harmonic numbers: O(n r) prefix sums, then O(r**2) per pole;
+  harmonic numbers: O(n r) prefix sums, then O(r**2) column products
+  over the poles;
 * every other polynomial (``--coeffs`` input) takes the general route,
   which correlates the coefficients around each pole: O(deg**2 r).
 
@@ -78,6 +79,14 @@ def _nonzero_poly(poly) -> Poly:
     if poly.is_zero:
         raise ValueError("zero polynomial has no moment")
     return poly
+
+
+def check_integer(x, what: str) -> int:
+    """x as an int; a float or any other non-integer raises TypeError."""
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise TypeError(f"{what} must be an integer, not {type(x).__name__}") from None
 
 
 def check_series_args(poly, r: int, v: int) -> Poly:
@@ -152,6 +161,7 @@ class ZetaCombination:
         items = []
         for j in sorted(zeta):
             q = zeta[j]
+            j = check_integer(j, "zeta index")
             if type(q) is not Fraction:
                 q = Fraction(q)
             if q == 0:
@@ -186,25 +196,22 @@ def _principal_numerators(poly: Poly, r: int, v: int) -> tuple[dict[int, list[in
 
     Near the pole s = -m, with t = s + m, the principal part of M**r is
     sum_{k<r} c_k t**(k-r); the v derivatives map c/t**j to
-    c (-1)**v (j)_v / t**(j+v).  The c_k come from _legendre_laurent when
-    the cleared coefficients are the shifted Legendre family's and from
-    _correlation_laurent otherwise, each as integers over its own common
-    denominator D.  Each order v+1..r+v has one numerator per pole
-    m = 1..mu (mu = deg + 1), zero where the pole has no such term.
+    c (-1)**v (j)_v / t**(j+v).  Both routes return the c_k as columns over
+    the poles m = 1..mu (mu = deg + 1), column k already times its
+    derivative factor, so it is order r+v-k's numerators as they stand,
+    zero where a pole has no such term.  _legendre_laurent serves the
+    shifted Legendre family and _correlation_laurent every other
+    polynomial, each over its own common denominator D.
     """
     cleared, A = poly.clear_denominators()
-    if A == 1 and _is_shifted_legendre(cleared):
-        laurent, denominator = _legendre_laurent(cleared, r)
-    else:
-        laurent, denominator = _correlation_laurent(cleared, A, r)
     sign = -1 if v % 2 else 1
-    # ur[k] is the coefficient of t**-j, j = r - k: order j + v after v derivatives
-    factors = [(j + v, sign * math.prod(range(j, j + v))) for j in range(r, 0, -1)]
-    numerators = {j: [0] * len(cleared) for j, _ in factors}
-    for m, ur in laurent:
-        for (j, factor), c in zip(factors, ur):
-            numerators[j][m - 1] = factor * c
-    return numerators, denominator
+    # column k holds the coefficient of t**-j, j = r - k: order j + v after v derivatives
+    factors = [sign * math.prod(range(j, j + v)) for j in range(r, 0, -1)]
+    if A == 1 and _is_shifted_legendre(cleared):
+        columns, denominator = _legendre_laurent(cleared, r, factors)
+    else:
+        columns, denominator = _correlation_laurent(cleared, A, r, factors)
+    return {r + v - k: column for k, column in enumerate(columns)}, denominator
 
 
 def _is_shifted_legendre(a: list[int]) -> bool:
@@ -241,15 +248,14 @@ def moment_closed_form(n: int) -> tuple[Poly, Poly]:
     return Poly(num), Poly(den)
 
 
-def _legendre_laurent(a: list[int], r: int) -> tuple[list[tuple[int, list[int]]], int]:
+def _legendre_laurent(a: list[int], r: int, factors: list[int]) -> tuple[list[list[int]], int]:
     """Principal parts of M**r for the shifted Legendre coefficients a, from the product form.
 
     M = (-1)**n prod_{k<n} (s-k) / prod_{k=1}^{n+1} (s+k) (moment_closed_form),
     so near s = -m (1 <= m <= n+1), with t = s + m, t*M = a_{m-1} exp(g(t))
     where, with H_N^(i) = sum_{t<=N} t**-i,
 
-        i g_i = -(H_{m+n-1}^(i) - H_{m-1}^(i))
-                + (-1)**i (H_{n+1-m}^(i) + (-1)**i H_{m-1}^(i)).
+        i g_i = 2 H_{m-1}^(i) - H_{m+n-1}^(i) + (-1)**i H_{n+1-m}^(i).
 
     Then (t*M)**r = a_{m-1}**r exp(r g) = a_{m-1}**r sum_k e_k t**k with
     e_0 = 1 and k e_k = sum_{i=1}^k r i g_i e_{k-i}.  In integers: with
@@ -257,37 +263,45 @@ def _legendre_laurent(a: list[int], r: int) -> tuple[list[tuple[int, list[int]]]
     rg_i = r i L**i g_i and E_k = k! L**k e_k are integers with
     E_k = sum_i rg_i E_{k-i} (k-1)!/(k-i)!, and the coefficients of t**(k-r)
     are integers over (r-1)! L**(r-1).  The only divisions are L // t, exact
-    by the choice of L.  O(n r) prefix sums, then O(r**2) products per pole.
+    by the choice of L.
+
+    Every quantity is a column over the poles m = 1..n+1, one list
+    operation per order instead of a loop per pole: H_{m-1}, H_{m+n-1} and
+    H_{n+1-m} are the slices h[:n+1], h[n:] and h[n::-1] of one prefix sum,
+    each E_k is a sum of column products, and column k of the result is
+    a_{m-1}**r E_k times one integer, factors[k] times the scale of order k.
+    O(n r) prefix sums, then O(r**2) column products: O(n r**2) in all.
     """
     n = len(a) - 1
     L = lcm_upto(2 * n)
     quotients = [L // t for t in range(1, 2 * n + 1)]
-    # ((-1)**i, [L**i H_N^(i) for 0 <= N <= 2n]) for 1 <= i < r
-    harmonic = [
-        ((-1) ** i, list(itertools.accumulate((q**i for q in quotients), initial=0)))
-        for i in range(1, r)
-    ]
-    # weights[k-1][i-1] = (k-1)!/(k-i)! for 1 <= i <= k < r
-    weights = [[math.perm(k - 1, i - 1) for i in range(1, k + 1)] for k in range(1, r)]
-    # the coefficient of t**(k-r) is a_{m-1}**r E_k scale[k] over (r-1)! L**(r-1)
-    scale = [math.perm(r - 1, r - 1 - k) * L ** (r - 1 - k) for k in range(r)]
-    laurent = []
-    for m in range(1, n + 2):
-        rg = [
-            r * (h[m - 1] - h[m + n - 1] + sign * (h[n + 1 - m] + sign * h[m - 1]))
-            for sign, h in harmonic
-        ]
-        E = [1]
-        for w in weights:
-            E.append(sum(map(operator.mul, map(operator.mul, rg, E[::-1]), w)))
-        ar = a[m - 1] ** r
-        laurent.append((m, [ar * (Ek * c) for Ek, c in zip(E, scale)]))
-    return laurent, math.factorial(r - 1) * L ** (r - 1)
+    # rg[i-1] = [r i L**i g_i at s = -m for m = 1..n+1], 1 <= i < r
+    rg = []
+    for i in range(1, r):
+        h = list(itertools.accumulate((q**i for q in quotients), initial=0))
+        r_sign = r if i % 2 == 0 else -r  # r (-1)**i
+        rg.append([r * (2 * x - y) + r_sign * z for x, y, z in zip(h[: n + 1], h[n:], h[n::-1])])
+    # E[k] is the column of E_k for 1 <= k < r; E_0 = 1 is left implicit
+    E: list[list[int]] = [[]]
+    for k in range(1, r):
+        # the i = k term meets E_0 = 1; its weight is (k-1)!
+        w = math.factorial(k - 1)
+        column = rg[k - 1] if w == 1 else [w * x for x in rg[k - 1]]
+        for i in range(1, k):
+            w = math.perm(k - 1, i - 1)
+            column = [c + w * x * y for c, x, y in zip(column, rg[i - 1], E[k - i])]
+        E.append(column)
+    ar = [x**r for x in a]
+    # column k is a_{m-1}**r E_k times factors[k] (r-1)!/k! L**(r-1-k)
+    scales = [f * math.perm(r - 1, r - 1 - k) * L ** (r - 1 - k) for k, f in enumerate(factors)]
+    columns = [[scales[0] * x for x in ar]]
+    columns += [[c * x * y for x, y in zip(ar, Ek)] for c, Ek in zip(scales[1:], E[1:])]
+    return columns, math.factorial(r - 1) * L ** (r - 1)
 
 
 def _correlation_laurent(
-    cleared: list[int], A: int, r: int
-) -> tuple[list[tuple[int, list[int]]], int]:
+    cleared: list[int], A: int, r: int, factors: list[int]
+) -> tuple[list[list[int]], int]:
     """Principal parts of M**r for any polynomial R = cleared / A.
 
     Near the pole s = -m of M = sum_l a_l/(s+l+1), with t = s + m,
@@ -299,7 +313,10 @@ def _correlation_laurent(
     with L = lcm(1..mu-1) (mu = deg + 1, the farthest pole) and
     S = L**(r-1), every S/|p-m|**i is an integer, so U = A*S*u has integer
     coefficients.  U**r mod t**r then holds the coefficients over the one
-    denominator (A*S)**r.  Poles with a_{m-1} = 0 are skipped.
+    denominator (A*S)**r.  Poles with a_{m-1} = 0 are skipped.  As in
+    _legendre_laurent, column k of the result holds the coefficients of
+    t**(k-r) over the poles m = 1..mu, times factors[k]; a skipped pole
+    reads 0.
     """
     # alpha[p] = A * a_{p-1}, the residue of A*M at s = -p
     alpha = [0, *cleared]
@@ -308,7 +325,7 @@ def _correlation_laurent(
     S = L ** (r - 1)
     # inverse_powers[i-1][q-1] = S // q**i for 1 <= i < r, 1 <= q < mu
     inverse_powers = [[S // q**i for q in range(1, mu)] for i in range(1, r)]
-    laurent = []
+    columns = [[0] * mu for _ in range(r)]
     for m in range(1, mu + 1):
         if not alpha[m]:
             continue
@@ -332,8 +349,9 @@ def _correlation_laurent(
                     f"internal invariant violation: {k} u_0 does not divide the order-{k} sum"
                 )
             ur.append(pk)
-        laurent.append((m, ur))
-    return laurent, (A * S) ** r
+        for column, factor, c in zip(columns, factors, ur):
+            column[m - 1] = factor * c
+    return columns, (A * S) ** r
 
 
 def decompose(poly: Poly, r: int, v: int) -> ZetaCombination:

@@ -83,7 +83,7 @@ from typing import Callable
 import numpy as np
 
 from . import _binfloat as bf
-from .decomp import ZetaCombination, check_series_args, decompose, lcm_upto
+from .decomp import ZetaCombination, check_integer, check_series_args, decompose, lcm_upto
 from .polys import Poly, legendre_coeffs
 
 __all__ = [
@@ -107,10 +107,15 @@ def _raw(x):
     return getattr(x, "_mpf_", x)
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    return tuple(field.name for field in fields(cls))
+
+
 def _set_fields(record, *values) -> None:
     """Set the fields of a frozen dataclass instance, in order."""
-    for field, value in zip(fields(record), values, strict=True):
-        object.__setattr__(record, field.name, value)
+    for name, value in zip(_field_names(type(record)), values, strict=True):
+        object.__setattr__(record, name, value)
 
 
 def _mpf(raw):
@@ -188,13 +193,14 @@ def _chebyshev_increments(n: int) -> tuple[int, ...]:
     accelerated alternating series with n weights.
 
     a_0 = 1 and a_{k+1} = a_k * 4 (n+k)(n-k) / ((2k+1)(2k+2)); every division
-    is exact.  eval_combination asks for zeta(2..r+v) at one precision, so at
-    one n: only the last n is kept.
+    is exact.  Each step multiplies a_k by one small integer, 4 (n+k)(n-k),
+    and checks the remainder of its one divmod.  eval_combination asks for
+    zeta(2..r+v) at one precision, so at one n: only the last n is kept.
     """
     a = 1
     out = [1]
     for i in range(n):
-        a, rem = divmod(a * 4 * (n + i) * (n - i), (2 * i + 1) * (2 * i + 2))
+        a, rem = divmod(a * (4 * (n + i) * (n - i)), (2 * i + 1) * (2 * i + 2))
         if rem:
             raise RuntimeError(
                 f"internal invariant violation: weight d_{i + 1} is not an integer"
@@ -235,13 +241,24 @@ def _zeta_rational(j: int, digits: int) -> tuple[Fraction, Fraction]:
     return value, bound
 
 
-def _check_precision(precision: int) -> None:
-    """The one precision check: callers run it before they spend any work."""
+@functools.lru_cache(maxsize=64)
+def _ten_power(k: int, prec: int):
+    """10**k at prec bits, as pow_int rounds it: a row asks zeta_value and
+    eval_combination for the same few powers at one precision."""
+    return bf.pow_int(bf.TEN, k, prec)
+
+
+def _check_precision(precision: int) -> int:
+    """The one precision check, returning precision as an int: callers run
+    it before they spend any work."""
+    precision = check_integer(precision, "precision")
     if precision < 10:
         raise ValueError("precision must be >= 10")
+    return precision
 
 
-@functools.cache
+# typed: zeta_value(3.0, p) must reach the checks, not the entry of zeta_value(3, p)
+@functools.lru_cache(maxsize=None, typed=True)
 def zeta_value(j: int, precision: int) -> HighPrecisionValue:
     """zeta(j) for integer j >= 2 with certified error <= 10**-precision.
 
@@ -250,15 +267,16 @@ def zeta_value(j: int, precision: int) -> HighPrecisionValue:
     requested 10**-precision.  Every operation names its precision, so the
     result depends on (j, precision) alone and is memoized on them.
     """
+    j = check_integer(j, "zeta index")
     if j < 2:
         raise ValueError("zeta_value requires j >= 2")
-    _check_precision(precision)
+    precision = _check_precision(precision)
     working = precision + 10
     prec = bf.dps_to_prec(working)
     approx, trunc = _zeta_rational(j, working)
-    rounding = bf.pow_int(bf.TEN, 2 - working, prec)
+    rounding = _ten_power(2 - working, prec)
     err = bf.add(_from_fraction(trunc, prec), rounding, prec)
-    if bf.gt(err, bf.pow_int(bf.TEN, -precision, prec)):
+    if bf.gt(err, _ten_power(-precision, prec)):
         raise RuntimeError(
             f"zeta({j}) error bound {bf.nstr(err, 5)} exceeds the "
             f"requested 1e-{precision}"
@@ -283,7 +301,7 @@ def eval_combination(combo: ZetaCombination, precision: int = 30) -> HighPrecisi
     while the value is nearly zero).  Every operation names its precision,
     so the result depends on its arguments alone.
     """
-    _check_precision(precision)
+    precision = _check_precision(precision)
     mag = sum((abs(q) for _, q in combo.zeta), abs(combo.constant)) + 1
     boost = _magnitude_digits(mag) + 2
     working = precision + 10 + boost
@@ -295,7 +313,7 @@ def eval_combination(combo: ZetaCombination, precision: int = 30) -> HighPrecisi
     def mul(x, y):
         return bf.mul(x, y, prec)
 
-    eps = bf.pow_int(bf.TEN, 2 - working, prec)
+    eps = _ten_power(2 - working, prec)
     total = _from_fraction(combo.constant, prec)
     envelope = bf.abs_(total, prec)
     err = bf.ZERO
@@ -387,7 +405,7 @@ def rationality_criterion(
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    _check_precision(precision)
+    precision = _check_precision(precision)
     if decomposer is None:
         decomposer = decompose
     records: list[CriterionRecord] = []
@@ -968,7 +986,7 @@ def crosscheck(
     errors.
     """
     poly = check_series_args(poly, r, v)
-    _check_precision(precision)
+    precision = _check_precision(precision)
     # the Monte Carlo leg first: it refuses a bad sample count before the
     # exact and direct legs spend any time
     mc = mc_integral(poly, r, v, samples, seed)

@@ -123,6 +123,85 @@ def test_zeta_values_computed_in_threads_keep_their_enclosures():
     assert misses == []
 
 
+def test_a_float_zeta_index_or_precision_is_refused_and_poisons_no_cache():
+    # a float index once cached float tables under a key equal to (3, cap),
+    # and every later zeta_value(3, 30) in the process raised with it
+    verify._eta_numerators.cache_clear()
+    zeta_value.cache_clear()
+    calls = [
+        lambda: zeta_value(3.0, 30),
+        lambda: zeta_value(3, 30.0),
+        lambda: ZetaCombination.make({3.0: Fraction(1)}),
+        lambda: eval_combination(ZetaCombination.make({3: 1}), 30.0),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError, match="must be an integer"):
+            call()
+    hv = zeta_value(3, 30)
+    with mpmath.workdps(60):
+        assert abs(hv.value - mpmath.zeta(3)) <= hv.error_bound
+    # a cached ζ(3) at 30 digits does not let the float call through
+    with pytest.raises(TypeError, match="zeta index must be an integer"):
+        zeta_value(3.0, 30)
+
+
+# the largest bound / |error| measured over the points below was 10**3.72 for
+# the truncation bound and 10**3.93 for zeta_value's bound; a margin of about
+# 10 over the larger gives the recorded slack
+_ZETA_BOUND_POINTS = [(j, digits) for digits in (20, 60, 100) for j in (2, 3, 5)]
+_ZETA_BOUND_SLACK = 10**5
+
+
+def _zeta_bound_faults() -> list[tuple]:
+    """(j, digits, which bound, fault) wherever _zeta_rational's truncation
+    bound or zeta_value's returned bound misses the error against mpmath at
+    twice the digits ("invalid"), or exceeds it _ZETA_BOUND_SLACK times over
+    ("loose")."""
+    faults = []
+    zeta_value.cache_clear()
+    try:
+        for j, digits in _ZETA_BOUND_POINTS:
+            with mpmath.workdps(2 * digits):
+                exact = verify._mpf_to_fraction(mpmath.zeta(j))
+            hv = zeta_value(j, digits)
+            pairs = {
+                "truncation": verify._zeta_rational(j, digits),
+                "zeta_value": (
+                    verify._mpf_to_fraction(hv.value),
+                    verify._mpf_to_fraction(hv.error_bound),
+                ),
+            }
+            for which, (value, bound) in pairs.items():
+                error = abs(value - exact)
+                if error > bound:
+                    faults.append((j, digits, which, "invalid"))
+                elif bound > _ZETA_BOUND_SLACK * error:
+                    faults.append((j, digits, which, "loose"))
+    finally:
+        zeta_value.cache_clear()
+    return faults
+
+
+def test_zeta_bounds_are_valid_and_within_the_recorded_slack():
+    assert _zeta_bound_faults() == []
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 10**9), 10**6])
+def test_a_scaled_truncation_bound_fails_the_zeta_bound_check(monkeypatch, scale):
+    # the check above must see a truncation bound 10**9 times too small and
+    # one 10**6 times too large
+    original = verify._zeta_rational
+
+    def scaled(j, digits):
+        value, bound = original(j, digits)
+        return value, bound * scale
+
+    monkeypatch.setattr(verify, "_zeta_rational", scaled)
+    faults = _zeta_bound_faults()
+    expected = "invalid" if scale < 1 else "loose"
+    assert faults and all(fault[3] == expected for fault in faults)
+
+
 # -- combination evaluation ------------------------------------------------------
 
 
