@@ -2,13 +2,13 @@
 
 A raw value is (-1)**sign * man * 2**exp, with man odd (or the zero
 (0, 0, 0, 0)) and bc = man.bit_length(): the tuples of ``mpmath.libmp``.
-Every function here but exp_int returns the tuple that its libmp
-counterpart (add for mpf_add, pow_int for mpf_pow_int, and so on) returns
-for the same arguments (mpmath 1.3), so the numeric layer computes and
-prints what it did through mpmath while the CLI never imports it.  exp_int
-is correctly rounded, which libmp's mpf_exp is not everywhere; wherever it
-is, the two return the same tuple.  Rounding modes are libmp's: "n" to
-nearest, ties to even; "d" toward zero; "u" away from zero.
+Every function here but exp_int and exp_int_steps returns the tuple that
+its libmp counterpart (add for mpf_add, pow_int for mpf_pow_int, and so on)
+returns for the same arguments (mpmath 1.3), so the numeric layer computes
+and prints what it did through mpmath while the CLI never imports it.
+exp_int is correctly rounded, which libmp's mpf_exp is not everywhere;
+wherever it is, the two return the same tuple.  Rounding modes are
+libmp's: "n" to nearest, ties to even; "d" toward zero; "u" away from zero.
 
 * mul, div, from_int, from_rational, abs_ and mul_int: libmp rounds each
   exact result once, so one function does all of them (_round); abs_
@@ -22,6 +22,9 @@ nearest, ties to even; "d" toward zero; "u" away from zero.
   test on two outward-rounded powers of the fixed-point e.  The fixed-point
   constants ln 2, ln 10 (for nstr) and e are floor(c * 2**prec), which is
   what libmp's memoized constants give.
+* exp_int_steps: exp_int(s * n) for n = 0..n_max, each row's enclosure the
+  row before's times that of e**s, rounded outward; a row that Ziv's test
+  does not settle there comes from exp_int.
 * nstr: mpmath.nstr(x, dps) with its default options: the digits truncated
   toward zero, rounded half up on the digit after dps, in fixed notation
   when the leading digit's exponent lies strictly between
@@ -35,7 +38,7 @@ import math
 
 __all__ = [
     "ZERO", "ONE", "TEN", "dps_to_prec", "from_int", "from_rational", "to_rational", "abs_",
-    "add", "mul", "mul_int", "div", "gt", "pow_int", "exp_int", "nstr",
+    "add", "mul", "mul_int", "div", "gt", "pow_int", "exp_int", "exp_int_steps", "nstr",
 ]
 
 ZERO = (0, 0, 0, 0)
@@ -268,25 +271,55 @@ def _constant(fixed, prec: int):
     return _round(0, fixed(wp), -wp, prec, "d")
 
 
+def _exp_enclosure(k: int, wp: int):
+    """(low, high) with low <= e**k <= high: floor(e * 2**wp) and one unit
+    more enclose e, and their k-th powers, rounded outward at wp bits,
+    enclose e**k."""
+    e = _e_fixed(wp)
+    below, above = _round(0, e, -wp, 0), _round(0, e + 1, -wp, 0)
+    if k < 0:  # e**k falls as e grows
+        below, above = above, below
+    return pow_int(below, k, wp, "d"), pow_int(above, k, wp, "u")
+
+
+def _ziv_round(low, high, prec: int):
+    """The value at prec bits nearest to every point of [low, high], if
+    both ends round to it (then everything between does too), else None."""
+    nearest = _round(0, low[1], low[2], prec)
+    return nearest if nearest == _round(0, high[1], high[2], prec) else None
+
+
 def exp_int(k: int, prec: int):
     """e**k for an integer k, correctly rounded to nearest.
 
-    Ziv's rounding test: floor(e * 2**wp) and one unit more enclose e, and
-    their k-th powers, rounded outward, enclose e**k.  Once both ends round
-    to the same prec bits, so does e**k; until then wp doubles.  e**k is
-    irrational for k != 0, so it never ties and the loop ends."""
+    Ziv's rounding test on _exp_enclosure: once both ends round to the same
+    prec bits, so does e**k; until then wp doubles.  e**k is irrational for
+    k != 0, so it never ties and the loop ends."""
     wp = prec + 2 * abs(k).bit_length() + 20
     while True:
-        e = _e_fixed(wp)
-        below, above = _round(0, e, -wp, 0), _round(0, e + 1, -wp, 0)
-        if k < 0:  # e**k falls as e grows
-            below, above = above, below
-        low = pow_int(below, k, wp, "d")
-        high = pow_int(above, k, wp, "u")
-        nearest = _round(0, low[1], low[2], prec)
-        if nearest == _round(0, high[1], high[2], prec):
+        nearest = _ziv_round(*_exp_enclosure(k, wp), prec)
+        if nearest is not None:
             return nearest
         wp *= 2
+
+
+def exp_int_steps(s: int, n_max: int, prec: int):
+    """exp_int(s * n, prec) for n = 0, 1, ..., n_max, one row at a time.
+
+    The enclosure of e**(s n) is carried from the row before: with wp =
+    prec + 2 bitlen(s n_max) + 20, each row multiplies its two ends by the
+    two ends of _exp_enclosure(s, wp), rounded outward.  Where Ziv's test
+    settles a row, that is the correctly rounded e**(s n); the rows it does
+    not settle come from exp_int itself, so every value is exp_int's."""
+    wp = prec + 2 * abs(s * n_max).bit_length() + 20
+    step_low, step_high = _exp_enclosure(s, wp)
+    low = high = ONE
+    for n in range(n_max + 1):
+        if n:
+            low = mul(low, step_low, wp, "d")
+            high = mul(high, step_high, wp, "u")
+        nearest = _ziv_round(low, high, prec)
+        yield exp_int(s * n, prec) if nearest is None else nearest
 
 
 # -- decimal output ----------------------------------------------------------

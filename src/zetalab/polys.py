@@ -135,11 +135,17 @@ def legendre_coeffs(n: int) -> Poly:
     """Shifted Legendre polynomial on [0, 1], integer coefficients.
 
     Closed form a(n, l) = (-1)**l * C(n, l) * C(n+l, l); equals the n-th
-    Rodrigues derivative (1/n!) d^n/dx^n [x^n (1-x)^n].
+    Rodrigues derivative (1/n!) d^n/dx^n [x^n (1-x)^n].  Walked as
+    a(n, l+1) = -a(n, l) (n-l)(n+l+1) / (l+1)**2, each division exact.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    return Poly([(-1) ** l * math.comb(n, l) * math.comb(n + l, l) for l in range(n + 1)])
+    a = 1
+    coeffs = [a]
+    for l in range(n):
+        a = -a * ((n - l) * (n + l + 1)) // ((l + 1) * (l + 1))
+        coeffs.append(a)
+    return Poly(coeffs)
 
 
 def integrate_poly_01(p: Poly | Sequence[RationalLike]) -> Fraction:

@@ -40,6 +40,16 @@ the last n serve every j asked for at that n.  The truncation error is
 provably below 3 / ((3+sqrt(8))**n * |1 - 2**(1-j)|), so every returned
 value carries a certified absolute error bound.
 
+The scan carries two quantities from row to row instead of rebuilding
+them: lcm(1..n), by one ``math.lcm`` per row, and e**((r+v) n), whose
+outward enclosure each row multiplies by that of e**(r+v)
+(``_binfloat.exp_int_steps``); a row whose enclosure Ziv's test does not
+settle takes ``exp_int``'s value, so every exp_scaled is the correctly
+rounded e**k times |c|.  ``eval_combination`` sums the magnitude
+1 + sum |q_j| + |q_0| as one integer over the combination's common
+denominator.  After these, a row's cost is its decomposition and its zeta
+dot products.
+
 Randomness: the SplitMix64 counter-based generator, computed on numpy
 uint64 arrays (``numpy.random`` is never imported).  Sample i of a run with
 seed s in r dimensions is outputs i * r + 1, ..., i * r + r of the stream
@@ -228,16 +238,17 @@ def _zeta_rational(j: int, digits: int) -> tuple[Fraction, Fraction]:
     one integer numerator over lcm(1..cap)**j, normalized once at the end.
     cap is n rounded up to a multiple of 16, so nearby n share the eta_i.
     Truncation after n weights is below 3/((3+sqrt 8)**n (1-2**(1-j)));
-    3 + sqrt(8) > 5828/1000 gives a rational upper bound on the error.
+    3 + sqrt(8) > 5828/1000 = 1457/250 gives a rational upper bound on the
+    error, built as one Fraction.
     """
     n = int((digits * math.log(10) + math.log(6)) / math.log(3 + math.sqrt(8))) + 3
     increments = _chebyshev_increments(n)
     eta, denominator = _eta_numerators(j, -(-n // 16) * 16)
     total = sum(map(operator.mul, increments, eta))  # a_0 meets eta_0 = 0
-    pref = Fraction(2 ** (j - 1), 2 ** (j - 1) - 1)
-    # zeta(j) ~ (total / lcm**j) * pref / d_n, normalized once
-    value = Fraction(total * 2 ** (j - 1), denominator * (2 ** (j - 1) - 1) * sum(increments))
-    bound = 3 * Fraction(1000, 5828) ** n * pref
+    half = 2 ** (j - 1)
+    # zeta(j) ~ (total / lcm**j) * half / ((half - 1) d_n), normalized once
+    value = Fraction(total * half, denominator * (half - 1) * sum(increments))
+    bound = Fraction(3 * 250**n * half, 1457**n * (half - 1))
     return value, bound
 
 
@@ -292,6 +303,16 @@ def _magnitude_digits(x: Fraction) -> int:
     return max(0, int(bits * 0.30103) + 1)
 
 
+def _combination_magnitude(combo: ZetaCombination) -> Fraction:
+    """1 + sum |q_j| + |q_0|, as one integer over the common denominator,
+    normalized once."""
+    d = combo.common_denominator()
+    constant = combo.constant
+    total = d + abs(constant.numerator) * (d // constant.denominator)
+    total += sum(abs(q.numerator) * (d // q.denominator) for _, q in combo.zeta)
+    return Fraction(total, d)
+
+
 def eval_combination(combo: ZetaCombination, precision: int = 30) -> HighPrecisionValue:
     """Numeric value of sum q_j zeta(j) + q_0 with a propagated error bound.
 
@@ -302,8 +323,7 @@ def eval_combination(combo: ZetaCombination, precision: int = 30) -> HighPrecisi
     so the result depends on its arguments alone.
     """
     precision = _check_precision(precision)
-    mag = sum((abs(q) for _, q in combo.zeta), abs(combo.constant)) + 1
-    boost = _magnitude_digits(mag) + 2
+    boost = _magnitude_digits(_combination_magnitude(combo)) + 2
     working = precision + 10 + boost
     prec = bf.dps_to_prec(working)
 
@@ -412,12 +432,15 @@ def rationality_criterion(
     prev_abs = None
     pole_power = r + v
     prec = bf.dps_to_prec(precision + 10)
-    for n in range(n_max + 1):
+    lcm = 1  # lcm(1..n), carried from row to row as e**((r+v) n) is
+    for n, exp in enumerate(bf.exp_int_steps(pole_power, n_max, prec)):
         combo = decomposer(legendre_coeffs(n), r, v)
         abs_c = bf.abs_(eval_combination(combo, precision)._value, prec)
-        lcm_pow = lcm_upto(n) ** pole_power
+        if n:
+            lcm = math.lcm(lcm, n)
+        lcm_pow = lcm**pole_power
         lcm_scaled = bf.mul(bf.from_int(lcm_pow, prec), abs_c, prec)
-        exp_scaled = bf.mul(bf.exp_int(pole_power * n, prec), abs_c, prec)
+        exp_scaled = bf.mul(exp, abs_c, prec)
         ratio = None
         if prev_abs is not None and bf.gt(prev_abs, bf.ZERO):
             ratio = bf.div(abs_c, prev_abs, prec)

@@ -19,6 +19,10 @@ in the ``{(m, j): c}`` form of ``principal_parts``, so the two compare with
 
 ``report_fields`` clears a combination's coefficients as one ``Fraction``
 product each; the library's report clears them in integers.
+``combination_magnitude`` adds up ``eval_combination``'s 1 + sum |q| by
+``Fraction`` additions, and ``legendre_closed_form`` takes two binomials per
+coefficient; the library sums the first as one integer over the common
+denominator and walks the second by an integer ratio per step.
 
 ``shifted_chebyshev`` is the Monte Carlo oracle's conversion to the
 Chebyshev basis shifted to [0, 1] by Horner's rule, one ``Fraction`` step
@@ -64,7 +68,11 @@ def chebyshev_weights(n: int) -> list[int]:
 
 
 def zeta_rational(j: int, digits: int) -> tuple[Fraction, Fraction]:
-    """(rational approximation of zeta(j), certified truncation bound)."""
+    """(rational approximation of zeta(j), certified truncation bound).
+
+    The bound keeps its first spelling, 3 (1000/5828)**n 2**(j-1) / (2**(j-1) - 1),
+    three Fraction products; the library builds the same rational as one
+    Fraction over 1457**n, as 1000/5828 = 250/1457."""
     n = int((digits * math.log(10) + math.log(6)) / math.log(3 + math.sqrt(8))) + 3
     d = chebyshev_weights(n)
     dn = d[n]
@@ -152,6 +160,16 @@ def collapse(parts: dict[tuple[int, int], Fraction], v: int) -> ZetaCombination:
             zeta[j] = zeta.get(j, Fraction(0)) + c
             constant -= c * _harmonic(m - 1, j)
     return ZetaCombination.make({j: sign * q for j, q in zeta.items()}, sign * constant)
+
+
+def combination_magnitude(combo: ZetaCombination) -> Fraction:
+    """1 + sum |q_j| + |q_0|, one Fraction addition per coefficient."""
+    return sum((abs(q) for _, q in combo.zeta), abs(combo.constant)) + 1
+
+
+def legendre_closed_form(n: int) -> list[int]:
+    """(-1)**l C(n, l) C(n+l, l) for l = 0..n, two binomials per coefficient."""
+    return [(-1) ** l * math.comb(n, l) * math.comb(n + l, l) for l in range(n + 1)]
 
 
 def report_fields(combo: ZetaCombination, n: int, r: int, v: int) -> dict:

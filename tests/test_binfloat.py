@@ -1,13 +1,20 @@
 """zetalab._binfloat against mpmath.libmp, the oracle it stands in for: every
 primitive returns libmp's raw (sign, man, exp, bc) tuple, exp_int the
-correctly rounded e**k that libmp encloses, and nstr mpmath.nstr's text."""
+correctly rounded e**k that libmp encloses, and nstr mpmath.nstr's text.
+exp_int_steps, which carries e**(s n) from row to row, returns exp_int's
+tuples, whether its own enclosure or exp_int settles a row."""
+
+import subprocess
+import sys
 
 import mpmath
+import pytest
 from hypothesis import example, given, settings, strategies as st
 from mpmath import libmp
 from mpmath.libmp import libelefun
 
-from zetalab import _binfloat as bf
+from zetalab import _binfloat as bf, verify
+from zetalab.decomp import lcm_upto
 
 
 def _raw_values(max_bits: int, max_exp: int):
@@ -147,3 +154,76 @@ def test_nstr_of_a_long_digit_string_needs_no_int_str_limit():
     # digits converts under Python's default 4300-digit limit too
     raw = libmp.from_rational(10**5000 // 7, 3**9000, 17000, "n")
     assert bf.nstr(raw, 5000) == _nstr(raw, 5000)
+
+
+# -- e**(s n) carried from row to row ------------------------------------------
+
+# (s, prec): the scans' (r + v) at their bits; (3, 86) reaches k = 201 and
+# (12, 86) k = 2340, where libmp misrounds; a negative s runs the swapped ends
+_STEP_CASES = [(3, 86), (12, 86), (2, 203), (5, 203), (5, 591), (3, 701), (-2, 120)]
+
+
+def test_carried_exponentials_are_exp_int_at_every_row():
+    for s, prec in _STEP_CASES:
+        rows = list(bf.exp_int_steps(s, 400, prec))
+        assert rows == [bf.exp_int(s * n, prec) for n in range(401)], (s, prec)
+    assert list(bf.exp_int_steps(4, 0, 53)) == [bf.ONE]
+
+
+def _widen_the_step(monkeypatch, s: int, n_max: int, prec: int) -> list[int]:
+    """Widen exp_int_steps' step enclosure to [low / 2, 2 high], so Ziv's
+    test settles no row past n = 0, and return the list of the k that
+    exp_int is then called for.  Only the step (k = s at the carried wp) is
+    widened: exp_int's own enclosures stay as they are."""
+    carried_wp = prec + 2 * abs(s * n_max).bit_length() + 20
+    enclosure, exp_int = bf._exp_enclosure, bf.exp_int
+    calls = []
+
+    def widened(k, wp):
+        low, high = enclosure(k, wp)
+        if (k, wp) == (s, carried_wp):
+            low, high = (0, low[1], low[2] - 1, low[3]), (0, high[1], high[2] + 1, high[3])
+        return low, high
+
+    def counted(k, prec):
+        calls.append(k)
+        return exp_int(k, prec)
+
+    monkeypatch.setattr(bf, "_exp_enclosure", widened)
+    monkeypatch.setattr(bf, "exp_int", counted)
+    return calls
+
+
+@pytest.mark.parametrize("s, prec", [(3, 86), (12, 86), (5, 203)])
+def test_rows_the_carried_enclosure_cannot_settle_come_from_exp_int(monkeypatch, s, prec):
+    expected = [bf.exp_int(s * n, prec) for n in range(61)]
+    calls = _widen_the_step(monkeypatch, s, 60, prec)
+    assert list(bf.exp_int_steps(s, 60, prec)) == expected
+    assert calls == [s * n for n in range(1, 61)]
+
+
+def test_scan_records_are_the_same_when_exp_int_settles_every_row(monkeypatch):
+    # scan --r 2 --v 1 --n-max 40 --prec 15: s = 3 at dps_to_prec(25) = 86 bits
+    expected = verify.rationality_criterion(2, 1, 40, 15)
+    calls = _widen_the_step(monkeypatch, 3, 40, bf.dps_to_prec(25))
+    assert verify.rationality_criterion(2, 1, 40, 15) == expected
+    assert calls == [3 * n for n in range(1, 41)]
+    assert [rec.lcm_pow for rec in expected] == [lcm_upto(n) ** 3 for n in range(41)]
+
+
+def test_the_carried_exponential_tests_pass_under_python_O():
+    # no assert may choose between the carried enclosure and exp_int: run the
+    # tests above with asserts stripped from the library (pytest still
+    # rewrites the tests' own)
+    tests = [
+        "test_carried_exponentials_are_exp_int_at_every_row",
+        "test_rows_the_carried_enclosure_cannot_settle_come_from_exp_int",
+        "test_scan_records_are_the_same_when_exp_int_settles_every_row",
+    ]
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", " or ".join(tests)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "5 passed" in proc.stdout

@@ -21,6 +21,7 @@ import fraction_reference as ref
 import mc_reference
 from zetalab import (
     Poly,
+    ZetaCombination,
     decompose,
     direct_sum_value,
     eval_combination,
@@ -501,3 +502,34 @@ def test_mc_integral_matches_reference_off_the_block_and_chunk_sizes(samples):
 def test_mc_integral_matches_reference_on_random_integer_polys(coeffs, r, v, seed):
     args = (Poly(coeffs), r, v, 10**4 + 1, seed)
     assert verify.mc_integral(*args) == mc_reference.mc_integral(*args)
+
+
+# -- the rationals of a scan row, normalized once ------------------------------
+
+
+def test_legendre_coefficients_match_the_closed_form():
+    for n in range(301):
+        assert legendre_coeffs(n) == Poly(ref.legendre_closed_form(n)), n
+
+
+_RATIONALS = st.builds(
+    Fraction,
+    st.one_of(st.integers(-(10**6), 10**6), st.integers(-(10**600), 10**600)),
+    st.one_of(st.integers(1, 10**6), st.integers(1, 10**600)),
+)
+
+
+@settings(max_examples=300)
+@given(
+    zeta=st.dictionaries(st.integers(2, 14), _RATIONALS, max_size=6),
+    constant=st.one_of(st.just(Fraction(0)), _RATIONALS),
+)
+@example(zeta={}, constant=Fraction(0))
+@example(zeta={3: Fraction(10**600)}, constant=Fraction(0))
+@example(zeta={2: Fraction(1, 10**600), 5: Fraction(-1, 10**599)}, constant=Fraction(0))
+@example(zeta={4: Fraction(10**600 - 1, 7)}, constant=Fraction(-(10**600), 3))
+def test_the_integer_magnitude_equals_the_fraction_sum(zeta, constant):
+    combo = ZetaCombination.make(zeta, constant)
+    magnitude = verify._combination_magnitude(combo)
+    assert magnitude == ref.combination_magnitude(combo)
+    assert verify._magnitude_digits(magnitude) == verify._magnitude_digits(ref.combination_magnitude(combo))

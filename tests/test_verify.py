@@ -259,6 +259,58 @@ def test_eval_combination_in_threads_matches_one_thread():
     assert differ == [0] * len(precisions)
 
 
+# the eval_combination slice of ROADMAP item 16: (poly, r, v, precision); the
+# largest slack bound / |value - truth| measured here was 10**4.72, at (P_20, 2, 1)
+_COMBINATION_POINTS = [
+    (legendre_coeffs(20), 2, 1, 40),
+    (legendre_coeffs(15), 3, 2, 50),
+    (Poly([1, 10**600]), 2, 0, 30),
+]
+_COMBINATION_SLACK = 10**6
+
+
+def _combination_truth(combo: ZetaCombination, digits: int) -> Fraction:
+    with mpmath.workdps(digits):
+        total = mpmath.mpf(combo.constant.numerator) / combo.constant.denominator
+        for j, q in combo.zeta:
+            total += mpmath.mpf(q.numerator) / q.denominator * mpmath.zeta(j)
+        return verify._mpf_to_fraction(total)
+
+
+def _eval_combination_faults(points) -> list[tuple]:
+    """(r, v, precision, fault) wherever eval_combination's bound misses its
+    error against mpmath at twice the working digits ("invalid"), exceeds
+    10**-precision ("imprecise"), or exceeds the error _COMBINATION_SLACK
+    times over ("loose")."""
+    faults = []
+    for poly, r, v, precision in points:
+        combo = decompose(poly, r, v)
+        hv = eval_combination(combo, precision)
+        # the digits of 1 + sum |q|, counted apart from the library, which a test patches
+        magnitude = sum((abs(q) for _, q in combo.zeta), abs(combo.constant)) + 1
+        working = precision + 12 + len(str(int(magnitude)))
+        error = abs(verify._mpf_to_fraction(hv.value) - _combination_truth(combo, 2 * working))
+        bound = verify._mpf_to_fraction(hv.error_bound)
+        if error > bound:
+            faults.append((r, v, precision, "invalid"))
+        if bound > Fraction(1, 10**precision):
+            faults.append((r, v, precision, "imprecise"))
+        if bound > _COMBINATION_SLACK * error:
+            faults.append((r, v, precision, "loose"))
+    return faults
+
+
+def test_eval_combination_bounds_are_valid_precise_and_within_the_recorded_slack():
+    assert _eval_combination_faults(_COMBINATION_POINTS) == []
+
+
+def test_a_combination_without_its_magnitude_boost_misses_the_precision(monkeypatch):
+    # the boost is what lets ~1e30 coefficients keep 10**-precision
+    monkeypatch.setattr(verify, "_magnitude_digits", lambda x: 0)
+    faults = _eval_combination_faults(_COMBINATION_POINTS[:2])
+    assert [fault for fault in faults if fault[3] == "imprecise"] == [(2, 1, 40, "imprecise"), (3, 2, 50, "imprecise")]
+
+
 # -- direct summation -------------------------------------------------------------
 
 
