@@ -18,8 +18,9 @@ at each pole s = -m follows from the local Laurent expansion of M there
 (no expanded summand, no pole search, no Taylor shift).  That expansion
 has two routes behind the one entry point ``_principal_numerators``:
 
-* the shifted Legendre family (integer coefficients exactly
-  (-1)**l C(n,l) C(n+l,l)) reads it off the product form of its moment,
+* the shifted Legendre family (cleared coefficients equal to
+  ``legendre_coeffs(n)``, where its recurrence lives) reads it off the
+  product form of its moment,
   whose logarithm at each pole is a few differences of generalized
   harmonic numbers: O(n r) prefix sums, then O(r**2) column products
   over the poles;
@@ -28,7 +29,9 @@ has two routes behind the one entry point ``_principal_numerators``:
 
 Both stay on purpose.  The general route is the only one off the family,
 and on the family it is the tests' independent oracle for the product
-route; the two agree as exact rationals.  Then:
+route; the two agree as exact rationals.  Both run on the integers A*a_l,
+A the lcm of the denominators, and A**r is divided out once, so P_n/A
+takes the product route too.  Then:
 
 * a term b/(s+m)**j with j >= 2 sums to b * (zeta(j) - sum_{t<m} t**-j);
 * the order-1 coefficients satisfy sum_m b_m = 0 (the summand decays at
@@ -201,30 +204,21 @@ def _principal_numerators(poly: Poly, r: int, v: int) -> tuple[dict[int, list[in
     derivative factor, so it is order r+v-k's numerators as they stand,
     zero where a pole has no such term.  _legendre_laurent serves the
     shifted Legendre family and _correlation_laurent every other
-    polynomial, each over its own common denominator D.
+    polynomial; both take the cleared integer coefficients, so the scale
+    A = lcm of the denominators is applied once here, as A**r.
     """
     cleared, A = poly.clear_denominators()
     sign = -1 if v % 2 else 1
     # column k holds the coefficient of t**-j, j = r - k: order j + v after v derivatives
     factors = [sign * math.prod(range(j, j + v)) for j in range(r, 0, -1)]
-    if A == 1 and _is_shifted_legendre(cleared):
-        columns, denominator = _legendre_laurent(cleared, r, factors)
-    else:
-        columns, denominator = _correlation_laurent(cleared, A, r, factors)
-    return {r + v - k: column for k, column in enumerate(columns)}, denominator
+    laurent = _legendre_laurent if _is_shifted_legendre(cleared) else _correlation_laurent
+    columns, denominator = laurent(cleared, r, factors)
+    return {r + v - k: column for k, column in enumerate(columns)}, denominator * A**r
 
 
 def _is_shifted_legendre(a: list[int]) -> bool:
-    """Whether a_l = (-1)**l C(n,l) C(n+l,l) for n = len(a) - 1.
-
-    Walks a_{l+1} (l+1)**2 = -a_l (n-l)(n+l+1) from a_0 = 1 and stops at the
-    first mismatch, so most other polynomials exit at a_0 or a_1.
-    """
-    n = len(a) - 1
-    return a[0] == 1 and all(
-        b * (l + 1) ** 2 == -c * (n - l) * (n + l + 1)
-        for l, (c, b) in enumerate(itertools.pairwise(a))
-    )
+    """Whether a is legendre_coeffs(len(a) - 1); most other polynomials exit at a_0."""
+    return a[0] == 1 and tuple(a) == legendre_coeffs(len(a) - 1).coeffs
 
 
 def moment_closed_form(n: int) -> tuple[Poly, Poly]:
@@ -299,28 +293,26 @@ def _legendre_laurent(a: list[int], r: int, factors: list[int]) -> tuple[list[li
     return columns, math.factorial(r - 1) * L ** (r - 1)
 
 
-def _correlation_laurent(
-    cleared: list[int], A: int, r: int, factors: list[int]
-) -> tuple[list[list[int]], int]:
-    """Principal parts of M**r for any polynomial R = cleared / A.
+def _correlation_laurent(a: list[int], r: int, factors: list[int]) -> tuple[list[list[int]], int]:
+    """Principal parts of M**r for any integer coefficients a.
 
     Near the pole s = -m of M = sum_l a_l/(s+l+1), with t = s + m,
     t*M = u(t) = a_{m-1} + sum_{i>=1} u_i t**i where u_i = sum_{p != m}
     a_{p-1} (-1)**(i-1) / (p-m)**i.  The principal part of M**r there is
     u**r mod t**r, by Miller's power recurrence: O(deg r + r**2) per pole.
 
-    All of it runs in integers: A clears the denominators of the a's, and
-    with L = lcm(1..mu-1) (mu = deg + 1, the farthest pole) and
-    S = L**(r-1), every S/|p-m|**i is an integer, so U = A*S*u has integer
-    coefficients.  U**r mod t**r then holds the coefficients over the one
-    denominator (A*S)**r.  Poles with a_{m-1} = 0 are skipped.  As in
-    _legendre_laurent, column k of the result holds the coefficients of
-    t**(k-r) over the poles m = 1..mu, times factors[k]; a skipped pole
-    reads 0.
+    All of it runs in integers: with L = lcm(1..mu-1) (mu = deg + 1, the
+    farthest pole) and S = L**(r-1), every S/|p-m|**i is an integer, so
+    U = S*u has integer coefficients.  U**r mod t**r then holds the
+    coefficients over the one denominator S**r; the scale of rational
+    coefficients is applied once, by _principal_numerators.  Poles with
+    a_{m-1} = 0 are skipped.  As in _legendre_laurent, column k of the
+    result holds the coefficients of t**(k-r) over the poles m = 1..mu,
+    times factors[k]; a skipped pole reads 0.
     """
-    # alpha[p] = A * a_{p-1}, the residue of A*M at s = -p
-    alpha = [0, *cleared]
-    mu = len(cleared)
+    # alpha[p] = a_{p-1}, the residue of M at s = -p
+    alpha = [0, *a]
+    mu = len(a)
     L = lcm_upto(mu - 1)
     S = L ** (r - 1)
     # inverse_powers[i-1][q-1] = S // q**i for 1 <= i < r, 1 <= q < mu
@@ -351,7 +343,7 @@ def _correlation_laurent(
             ur.append(pk)
         for column, factor, c in zip(columns, factors, ur):
             column[m - 1] = factor * c
-    return columns, (A * S) ** r
+    return columns, S**r
 
 
 def decompose(poly: Poly, r: int, v: int) -> ZetaCombination:

@@ -1,9 +1,10 @@
 """Dense univariate polynomials with exact rational coefficients.
 
-Coefficients are stored lowest degree first, as ``fractions.Fraction``; the
-zero polynomial is the empty tuple (degree -1).  Construction strips trailing
-zeros, so equal polynomials compare equal structurally.  Instances are
-immutable and safe to share between tasks.
+Coefficients are stored lowest degree first, an ``int`` as it is and any
+other rational as a ``fractions.Fraction``; the zero polynomial is the empty
+tuple (degree -1).  Construction strips trailing zeros, so equal polynomials
+compare and hash equal structurally (2 == Fraction(2), with one hash).
+Instances are immutable and safe to share between tasks.
 
 The bottom of the exact layer (``polys`` -> ``decomp``): it imports no
 other zetalab module.
@@ -21,14 +22,14 @@ RationalLike = int | Fraction
 
 
 class Poly:
-    """Polynomial sum(c[l] * x**l) with exact rational coefficients."""
+    """Polynomial sum(c[l] * x**l); int coefficients stay ints, others become Fractions."""
 
     __slots__ = ("coeffs",)
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[RationalLike, ...]
 
     def __init__(self, coeffs: Iterable[RationalLike] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -150,5 +151,5 @@ def legendre_coeffs(n: int) -> Poly:
 
 def integrate_poly_01(p: Poly | Sequence[RationalLike]) -> Fraction:
     """Exact integral of p over [0, 1]: sum of c[l] / (l + 1)."""
-    coeffs = p.coeffs if isinstance(p, Poly) else [Fraction(c) for c in p]
-    return sum((c / (l + 1) for l, c in enumerate(coeffs)), Fraction(0))
+    coeffs = p.coeffs if isinstance(p, Poly) else Poly(p).coeffs
+    return sum((Fraction(c, l + 1) for l, c in enumerate(coeffs)), Fraction(0))

@@ -23,6 +23,8 @@ product each; the library's report clears them in integers.
 ``Fraction`` additions, and ``legendre_closed_form`` takes two binomials per
 coefficient; the library sums the first as one integer over the common
 denominator and walks the second by an integer ratio per step.
+``is_shifted_legendre_walk`` recognizes that family by checking the ratio
+of each pair of neighbours; the library compares with ``legendre_coeffs``.
 
 ``shifted_chebyshev`` is the Monte Carlo oracle's conversion to the
 Chebyshev basis shifted to [0, 1] by Horner's rule, one ``Fraction`` step
@@ -33,6 +35,7 @@ closed binomial sum in integers.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -170,6 +173,19 @@ def combination_magnitude(combo: ZetaCombination) -> Fraction:
 def legendre_closed_form(n: int) -> list[int]:
     """(-1)**l C(n, l) C(n+l, l) for l = 0..n, two binomials per coefficient."""
     return [(-1) ** l * math.comb(n, l) * math.comb(n + l, l) for l in range(n + 1)]
+
+
+def is_shifted_legendre_walk(a: list[int]) -> bool:
+    """Whether a_l = (-1)**l C(n,l) C(n+l,l) for n = len(a) - 1.
+
+    Walks a_{l+1} (l+1)**2 = -a_l (n-l)(n+l+1) from a_0 = 1 and stops at the
+    first mismatch.
+    """
+    n = len(a) - 1
+    return a[0] == 1 and all(
+        b * (l + 1) ** 2 == -c * (n - l) * (n + l + 1)
+        for l, (c, b) in enumerate(itertools.pairwise(a))
+    )
 
 
 def report_fields(combo: ZetaCombination, n: int, r: int, v: int) -> dict:

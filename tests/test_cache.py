@@ -4,6 +4,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -209,6 +210,15 @@ def test_format_2_entries_keep_their_file_name_and_bytes(tmp_path: Path, capsys)
     (tmp_path / "old" / PINNED_NAME).write_bytes(PINNED_BYTES)
     assert DecompositionCache(tmp_path / "old").get(poly, 3, 2) == decompose(poly, 3, 2)
     assert capsys.readouterr().err == ""
+
+
+def test_int_and_fraction_coefficients_write_one_entry(tmp_path: Path):
+    spellings = {"ints": Poly([2, 3]), "fractions": Poly([Fraction(2), Fraction(3)])}
+    for name, poly in spellings.items():
+        DecompositionCache(tmp_path / name).put(poly, 3, 2, decompose(poly, 3, 2))
+    (ints,), (fractions,) = ([*(tmp_path / name).iterdir()] for name in spellings)
+    assert ints.name == fractions.name
+    assert ints.read_bytes() == fractions.read_bytes()
 
 
 @pytest.mark.parametrize(

@@ -154,6 +154,38 @@ def test_the_legendre_family_takes_the_product_route_and_near_misses_do_not(monk
                 assert decompose(poly, r, v) == expected, (coeffs, r, v)
 
 
+def test_the_family_check_agrees_with_the_ratio_walk():
+    family = [list(legendre_coeffs(n).coeffs) for n in range(61)]
+    assert all(decomp._is_shifted_legendre(a) for a in family)
+    variants = [a[:-1] for a in family[1:13]]  # P_0 cut short is no polynomial
+    for a in family[:13]:
+        variants += [a[:l] + [a[l] + d] + a[l + 1 :] for l in range(len(a)) for d in (-1, 1)]
+        variants += [[-c for c in a], [2 * c for c in a], a + [1], a + [-1], a + [a[-1]]]
+    for a in family + variants:
+        assert decomp._is_shifted_legendre(a) == ref.is_shifted_legendre_walk(a), a
+
+
+def test_a_rational_multiple_of_the_family_takes_the_product_route_scaled_once(monkeypatch):
+    # P_n / A clears to P_n with scale A, so its principal parts are P_n's over A**r
+    cases = []
+    for n in range(13):
+        a = legendre_coeffs(n).coeffs
+        for r, v in ((2, 0), (2, 1), (3, 2), (4, 1)):
+            combo = decompose(legendre_coeffs(n), r, v)
+            for A in (2, 3, 12):
+                expected = ZetaCombination.make(
+                    {j: q / A**r for j, q in combo.zeta}, combo.constant / A**r
+                )
+                cases.append((Poly([Fraction(c, A) for c in a]), r, v, expected))
+    with monkeypatch.context() as patch:
+        patch.setattr(decomp, "_correlation_laurent", _refuse)
+        for poly, r, v, expected in cases:
+            assert decompose(poly, r, v) == expected, (poly, r, v)
+    _general_route_only(monkeypatch)
+    for poly, r, v, expected in cases:
+        assert decompose(poly, r, v) == expected, (poly, r, v)
+
+
 _small = st.integers(-9, 9)
 _dense = st.lists(_small, min_size=1, max_size=9)
 _sparse = st.lists(st.sampled_from([0, 0, 0, -3, 1, 7]), min_size=1, max_size=15)

@@ -77,6 +77,16 @@ def test_poly_canonical_form():
     assert Poly([1, 2]) != (Fraction(1), Fraction(2))
 
 
+def test_int_coefficients_stay_ints_and_equal_their_fraction_spelling():
+    assert [type(c) for c in Poly([1, -2]).coeffs] == [int, int]
+    assert [type(c) for c in Poly([Fraction(1, 2), 0.25]).coeffs] == [Fraction, Fraction]
+    # Fraction(c, l + 1) keeps the integral exact where c / (l + 1) is a float
+    total = integrate_poly_01(Poly([1, 1]))
+    assert type(total) is Fraction and total == Fraction(3, 2)
+    p, q = Poly([2, 3]), Poly([Fraction(2), Fraction(3)])
+    assert p == q and hash(p) == hash(q)
+
+
 def test_poly_arithmetic_basics():
     p = Poly([1, 1])
     q = Poly([-1, 1])

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 import sys
@@ -23,6 +24,7 @@ from zetalab import (
     eval_combination,
     legendre_coeffs,
     mc_integral,
+    moment_from_coeffs,
     zeta_value,
 )
 from zetalab import verify
@@ -434,6 +436,102 @@ def test_direct_sum_encloses_exact_value_on_random_integer_polys(coeffs, r, v):
     with mpmath.workdps(60):
         assert d.error_bound <= mpmath.mpf("1e-30")
         assert abs(d.value - e.value) <= d.error_bound + e.error_bound
+
+
+# the direct-sum slice of ROADMAP item 16: the benchmark's verify shapes
+# (n, r, v) at target 10**-30; the slack, bound / |value - truth|, measured
+# here was 10**5.28, 10**5.30 and 10**6.18, and a margin of about 7 gives the
+# recorded slack
+_DIRECT_SUM_POINTS = [(2, 2, 0), (1, 2, 1), (2, 3, 2)]
+_DIRECT_SUM_SLACK = 10**7
+
+
+def _direct_sum_faults() -> list[tuple]:
+    """(n, r, v, fault) wherever direct_sum_value's bound misses its error
+    against mpmath's value of the exact decomposition at 80 digits
+    ("invalid"), or exceeds it _DIRECT_SUM_SLACK times over ("loose")."""
+    faults = []
+    for n, r, v in _DIRECT_SUM_POINTS:
+        poly = legendre_coeffs(n)
+        hv = direct_sum_value(poly, r, v, Fraction(1, 10**30))
+        truth = _combination_truth(decompose(poly, r, v), 80)
+        error = abs(verify._mpf_to_fraction(hv.value) - truth)
+        bound = verify._mpf_to_fraction(hv.error_bound)
+        if error > bound:
+            faults.append((n, r, v, "invalid"))
+        elif bound > _DIRECT_SUM_SLACK * error:
+            faults.append((n, r, v, "loose"))
+    return faults
+
+
+def test_direct_sum_bounds_are_valid_and_within_the_recorded_slack():
+    assert _direct_sum_faults() == []
+
+
+# log10 of _cauchy_bound / max |G| over 64 points of its circle |s| = 2 (n + 1),
+# as measured: the bound is attained at s = -2 for P_0, and ignores P_20's
+# cancellation; a bound more than 10 times looser than recorded is "loose"
+_CAUCHY_SLACK_LOG10 = {
+    (0, 2, 0): 0.0,
+    (2, 2, 0): 1.45,
+    (1, 2, 1): 1.03,
+    (2, 3, 2): 2.48,
+    (20, 3, 2): 28.82,
+}
+
+
+@functools.cache
+def _largest_g_on_circle(n: int, r: int, v: int, radius: int) -> Fraction:
+    """max |G(s)| over s = radius e^(2 pi i k / 64), k < 64, with mpmath at 50
+    digits from the moment M = num/den of P_n: G = d^v/ds^v [M**r]."""
+    num, den = moment_from_coeffs(legendre_coeffs(n))
+    with mpmath.workdps(50):
+        top = [mpmath.mpf(c.numerator) / c.denominator for c in reversed(num.coeffs)]
+        bottom = [mpmath.mpf(c) for c in reversed(den.coeffs)]
+
+        def power(s):
+            return (mpmath.polyval(top, s) / mpmath.polyval(bottom, s)) ** r
+
+        points = (radius * mpmath.expjpi(mpmath.mpf(k) / 32) for k in range(64))
+        return verify._mpf_to_fraction(max(abs(mpmath.diff(power, s, v)) for s in points))
+
+
+def _cauchy_bound_faults() -> list[tuple]:
+    """(n, r, v, fault) wherever _cauchy_bound lies below the largest |G| on
+    its circle ("invalid"), or exceeds it more than 10 times the recorded
+    slack over ("loose")."""
+    faults = []
+    for (n, r, v), slack in _CAUCHY_SLACK_LOG10.items():
+        radius = 2 * (n + 1)
+        largest = _largest_g_on_circle(n, r, v, radius)
+        bound = verify._cauchy_bound(legendre_coeffs(n), r, v, radius)
+        if largest > bound:
+            faults.append((n, r, v, "invalid"))
+        elif bound > largest * 10 ** (slack + 1):
+            faults.append((n, r, v, "loose"))
+    return faults
+
+
+def test_cauchy_bounds_are_valid_and_within_the_recorded_slack():
+    assert _cauchy_bound_faults() == []
+
+
+@pytest.mark.parametrize("scale", [Fraction(1, 10**6), 10**6])
+def test_a_scaled_cauchy_bound_fails_the_cauchy_bound_check(monkeypatch, scale):
+    original = verify._cauchy_bound
+    monkeypatch.setattr(verify, "_cauchy_bound", lambda *args: original(*args) * scale)
+    faults = _cauchy_bound_faults()
+    expected = "invalid" if scale < 1 else "loose"
+    assert faults and all(fault[3] == expected for fault in faults)
+
+
+def test_outward_widens_by_its_midpoint_rounding():
+    # with no radius, the bound is the exact rounding error rounded up:
+    # valid, and at most twice that error
+    for mid, dps in ((Fraction(1, 3), 20), (Fraction(-2, 7), 40), (Fraction(10**30 + 1, 3), 15)):
+        hv = verify._outward(mid, Fraction(0), dps)
+        error = abs(verify._mpf_to_fraction(hv.value) - mid)
+        assert 0 < error <= verify._mpf_to_fraction(hv.error_bound) <= 2 * error
 
 
 # -- Monte Carlo ------------------------------------------------------------------
